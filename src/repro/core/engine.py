@@ -23,7 +23,7 @@ is delegated to a pluggable :class:`SweepStrategy`:
   of any FairKM run — collapse to a handful of vectorized batch calls.
 * :class:`MiniBatchSweep` — the §6.1 approximation: all objects of a
   batch decide against statistics frozen at the batch start, accepted
-  moves are applied together, then the caches are rebuilt.
+  moves are scattered into the labels at once, then the caches are rebuilt.
 
 The engine also fixes a reporting subtlety: ``objective_history``
 entries are recorded *after* the periodic
@@ -355,12 +355,12 @@ class MiniBatchSweep(SweepStrategy):
     batch concurrently against the frozen statistics (threads by
     default; worker processes over a shared-memory data placement with
     ``backend="multiprocess"``), the shard deltas are stacked back in
-    visit order, and the accepted moves are merged serially through the
-    additive sufficient statistics (``sums``, ``sum_sqnorm``,
-    per-attribute ``counts``/``h`` deltas via ``apply_move``) followed by
-    the batch's single resync — exactly the single-threaded decision and
-    merge sequence. Shard boundaries depend only on the batch size,
-    never on the worker count or backend.
+    visit order, and the accepted moves are merged by one label scatter
+    and the batch's single resync, which rebuilds every cache from the
+    labels. The ``allow_empty=False`` veto replays the moves in visit
+    order on an integer size ledger, so the decisions equal those of a
+    one-move-at-a-time merge. Shard boundaries depend only on the batch
+    size, never on the worker count or backend.
     """
 
     name = "minibatch"
@@ -427,17 +427,21 @@ class MiniBatchSweep(SweepStrategy):
             rows = np.arange(batch.shape[0])
             improves = deltas[rows, targets] < -cfg.tol
             cur = state.labels[batch]
-            batch_moves = 0
-            for r in np.flatnonzero(improves & (targets != cur)):
-                i = int(batch[r])
-                if not cfg.allow_empty and state.sizes[state.labels[i]] == 1:
-                    continue
-                state.apply_move(i, int(targets[r]))
-                batch_moves += 1
-            if batch_moves:
+            movers = np.flatnonzero(improves & (targets != cur))
+            if not cfg.allow_empty:
+                # Veto in visit order on an integer size ledger.
+                ledger, kept = state.sizes.tolist(), []
+                for r, src, dst in zip(movers, cur[movers].tolist(), targets[movers].tolist()):
+                    if ledger[src] > 1:
+                        ledger[src] -= 1
+                        ledger[dst] += 1
+                        kept.append(r)
+                movers = np.array(kept, dtype=np.int64)
+            if movers.size:
+                state.labels[batch[movers]] = targets[movers]
                 state.resync()
             stats["merge_s"] += time.perf_counter() - t1
-            moves += batch_moves
+            moves += movers.size
         stats["shards"] = self._shards - shards_before
         self.last_stats = stats
         return moves
@@ -567,6 +571,8 @@ class OptimizerEngine:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError(f"points must be 2-D, got shape {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite (no NaN or inf)")
         n = points.shape[0]
         if n < cfg.k:
             raise ValueError(f"need at least k={cfg.k} objects, got {n}")

@@ -73,8 +73,9 @@ class FairKM(EstimatorMixin):
         backend: execution backend for those parallel scoring paths —
             ``"local"`` (thread pool, default), ``"multiprocess"``
             (worker processes over a shared-memory data placement;
-            bit-identical results) or ``"remote-stub"`` (the multi-host
-            wire-protocol sketch), or a
+            bit-identical results) or ``"remote"`` (fleet ``/score``
+            requests, in-process loopback without targets;
+            bit-identical too), or a
             :class:`repro.backend.Backend` instance. Ignored by
             ``"sequential"``.
         workers: worker count for *backend* (int >= 1, -1 or

@@ -222,26 +222,28 @@ class ClusterState:
     def resync(self) -> None:
         """Recompute every cache from ``self.labels`` (clears float drift)."""
         self.mutations += 1
-        labels = self.labels
-        self.sizes = np.bincount(labels, minlength=self.k)
-        self.sums.fill(0.0)
-        np.add.at(self.sums, labels, self.points)
+        labels, k = self.labels, self.k
+        # bincount adds each bin's terms in index order, exactly as
+        # np.add.at would, so the sums are bit-identical to an
+        # object-by-object accumulation. One column at a time keeps the
+        # temporaries at O(n), never O(n·d).
+        self.sizes = np.bincount(labels, minlength=k)
+        for j in range(self.dim):
+            self.sums[:, j] = np.bincount(labels, weights=self.points[:, j], minlength=k)
         self.sum_sqnorm = np.einsum("ij,ij->i", self.sums, self.sums)
-        self.sq_total.fill(0.0)
-        np.add.at(self.sq_total, labels, self.point_sqnorm)
+        self.sq_total[:] = np.bincount(labels, weights=self.point_sqnorm, minlength=k)
         # Cached float view of sizes; kept exact by the incremental ±1
         # updates in apply_move (small integers are exact in float64).
         self._sizes_f = self.sizes.astype(np.float64)
         m = self._sizes_f
         for cat in self._cat:
-            cat.counts.fill(0.0)
-            np.add.at(cat.counts, (labels, cat.spec.codes), 1.0)
+            v = cat.counts.shape[1]
+            cat.counts[:] = np.bincount(labels * v + cat.spec.codes, minlength=k * v).reshape(k, v)
             resid = cat.counts - m[:, None] * cat.p[None, :]
             cat.f = np.einsum("ij,ij->i", resid, resid)
             cat.h = cat.counts @ cat.p
         for num in self._num:
-            num.d.fill(0.0)
-            np.add.at(num.d, labels, num.centered)
+            num.d[:] = np.bincount(labels, weights=num.centered, minlength=k)
 
     def export_scoring_stats(self) -> dict[str, object]:
         """Everything :meth:`batch_move_deltas` reads besides the data.

@@ -210,6 +210,18 @@ def test_fairkm_sensitive_and_specs_are_exclusive(problem):
         FairKM(3, seed=0).fit(points, categorical=cats, sensitive=cats)
 
 
+@pytest.mark.parametrize("estimator", [FairKM, MiniBatchFairKM])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_points(problem, estimator, bad):
+    """A NaN or inf coordinate is a typed error, never a silent fit with
+    NaN centers and objective."""
+    points, cats, nums = problem
+    points = points.copy()
+    points[7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimator(3, seed=0).fit(points, categorical=cats, numeric=nums)
+
+
 def test_minibatch_engine_through_fairkm(problem):
     """engine='minibatch' on FairKM equals MiniBatchFairKM with the same
     batch size."""

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import CategoricalSpec, FairKM, MiniBatchFairKM
+from repro.core import CategoricalSpec, FairKM, MiniBatchFairKM, MiniBatchSweep, NumericSpec
 from repro.core.objective import fairkm_objective
 from repro.metrics import categorical_fairness
 from tests.conftest import correlated_attribute, make_blobs
@@ -72,3 +74,91 @@ def test_deterministic(data):
     a = MiniBatchFairKM(k=2, batch_size=16, seed=3).fit(points, categorical=[spec])
     b = MiniBatchFairKM(k=2, batch_size=16, seed=3).fit(points, categorical=[spec])
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+class PerMoveMergeSweep(MiniBatchSweep):
+    """Oracle: the merge as one move at a time through ``apply_move``.
+
+    Scores each batch exactly as :class:`MiniBatchSweep` does, then
+    applies the accepted moves in visit order, vetoing a move out of a
+    singleton cluster under ``allow_empty=False`` against the live
+    sizes, and resyncs once per batch. Counts the vetoes it makes.
+    """
+
+    def reset(self) -> None:
+        super().reset()
+        self.vetoes = 0
+
+    def sweep(self, state, order, lam, cfg):
+        moves = 0
+        for start in range(0, order.shape[0], self.batch_size):
+            batch = order[start : start + self.batch_size]
+            deltas = self._score_batch(state, batch, lam)
+            targets = np.argmin(deltas, axis=1)
+            improves = deltas[np.arange(batch.shape[0]), targets] < -cfg.tol
+            cur = state.labels[batch]
+            batch_moves = 0
+            for r in np.flatnonzero(improves & (targets != cur)):
+                i = int(batch[r])
+                if not cfg.allow_empty and state.sizes[state.labels[i]] == 1:
+                    self.vetoes += 1
+                    continue
+                state.apply_move(i, int(targets[r]))
+                batch_moves += 1
+            if batch_moves:
+                state.resync()
+            moves += batch_moves
+        self.last_stats = {"mode": "minibatch"}
+        return moves
+
+
+def _merge_pair(points, cats, nums, k, batch_size, allow_empty, seed, lam="auto"):
+    oracle = PerMoveMergeSweep(batch_size)
+    kw = dict(lambda_=lam, allow_empty=allow_empty, max_iter=8, seed=seed)
+    expected = FairKM(k, engine=oracle, **kw).fit(points, categorical=cats, numeric=nums)
+    got = MiniBatchFairKM(k, batch_size=batch_size, **kw).fit(
+        points, categorical=cats, numeric=nums
+    )
+    return oracle, expected, got
+
+
+def _assert_same_fit(expected, got):
+    np.testing.assert_array_equal(got.labels, expected.labels)
+    assert got.objective_history == expected.objective_history
+    assert got.moves_per_iter == expected.moves_per_iter
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(8, 120),
+    k_frac=st.floats(0.05, 1.0),
+    batch_size=st.sampled_from([1, 4, 16, 64, 1024]),
+    allow_empty=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_label_scatter_merge_equals_per_move_merge(seed, n, k_frac, batch_size, allow_empty):
+    """The one-scatter merge reproduces the per-move merge bit for bit,
+    including the visit-order veto when k is close to n."""
+    rng = np.random.default_rng(seed)
+    k = max(2, min(n, int(round(k_frac * n))))
+    points = rng.normal(size=(n, 3))
+    cats = [CategoricalSpec("c", rng.integers(0, 4, n), n_values=4)]
+    nums = [NumericSpec("z", rng.normal(size=n))]
+    _, expected, got = _merge_pair(points, cats, nums, k, batch_size, allow_empty, seed)
+    _assert_same_fit(expected, got)
+    if not allow_empty:
+        assert np.bincount(got.labels, minlength=k).min() >= 1
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_veto_ledger_matches_per_move_merge_when_vetoes_fire(k):
+    """A whole-dataset batch with k near n/2 makes the ledger veto: the
+    oracle must actually veto, and the results must still agree."""
+    rng = np.random.default_rng(k)
+    n = 2 * k + 5
+    points = rng.normal(size=(n, 2))
+    cats = [CategoricalSpec("c", rng.integers(0, 3, n), n_values=3)]
+    oracle, expected, got = _merge_pair(points, cats, [], k, n, False, seed=1, lam=1e3)
+    assert oracle.vetoes > 0
+    _assert_same_fit(expected, got)
+    assert np.bincount(got.labels, minlength=k).min() >= 1

@@ -164,6 +164,57 @@ def test_resync_clears_drift():
     assert state.consistency_error() == 0.0
 
 
+def _add_at_rebuild(state: ClusterState) -> dict[str, object]:
+    """Oracle: every additive cache accumulated object by object."""
+    labels, k = state.labels, state.k
+    sums = np.zeros((k, state.dim))
+    np.add.at(sums, labels, state.points)
+    sq_total = np.zeros(k)
+    np.add.at(sq_total, labels, state.point_sqnorm)
+    counts = []
+    for spec in state.categorical_specs:
+        c = np.zeros((k, spec.n_values))
+        np.add.at(c, (labels, spec.codes), 1.0)
+        counts.append(c)
+    d = []
+    for spec in state.numeric_specs:
+        dd = np.zeros(k)
+        np.add.at(dd, labels, spec.values - spec.dataset_mean)
+        d.append(dd)
+    return {"sums": sums, "sq_total": sq_total, "cat_counts": counts, "num_d": d}
+
+
+@given(st.integers(0, 10_000), st.integers(1, 60), st.integers(1, 12), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_resync_equals_add_at_rebuild_bitwise(seed, n, k, dim):
+    """resync's bincount caches equal an np.add.at rebuild exactly, with
+    empty clusters and single-valued attributes in play."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 1e3)
+    cats, nums = random_specs(rng, n)
+    cats.append(CategoricalSpec("single", np.zeros(n, dtype=int)))
+    cats.append(CategoricalSpec("unseen", np.full(n, 2), n_values=4))
+    nums.append(NumericSpec("flat", np.full(n, 3.5)))
+    # Labels drawn from a subset of the clusters, so some stay empty.
+    labels = rng.integers(0, max(1, k - 2), n)
+    state = ClusterState(points, labels, k, cats, nums)
+    for _ in range(10):
+        state.apply_move(int(rng.integers(0, n)), int(rng.integers(0, k)))
+    state.resync()
+    oracle = _add_at_rebuild(state)
+    stats = state.export_scoring_stats()
+    assert np.array_equal(state.sizes, np.bincount(state.labels, minlength=k))
+    assert np.array_equal(stats["sums"], oracle["sums"])
+    sum_sqnorm = np.einsum("ij,ij->i", oracle["sums"], oracle["sums"])
+    assert np.array_equal(stats["sum_sqnorm"], sum_sqnorm)
+    assert np.array_equal(state.sq_total, oracle["sq_total"])
+    for mine, theirs in zip(stats["cat_counts"], oracle["cat_counts"]):
+        assert np.array_equal(mine, theirs)
+    for mine, theirs in zip(stats["num_d"], oracle["num_d"]):
+        assert np.array_equal(mine, theirs)
+    assert state.consistency_error() == 0.0
+
+
 def test_centroids_global_mean_for_empty():
     rng = np.random.default_rng(10)
     points = rng.normal(size=(5, 2))
