@@ -102,7 +102,12 @@ class Assigner:
         # with the center norms hoisted out of the loop.
         d2 = block @ self._centers_t
         d2 *= -2.0
-        d2 += squared_norms(block)[:, None]
+        norms = squared_norms(block)
+        # A NaN or inf coordinate makes the row's norm non-finite, and
+        # argmin would still hand that row a label: refuse it instead.
+        if not np.isfinite(norms).all():
+            raise ValueError("points must be finite (no NaN or inf)")
+        d2 += norms[:, None]
         d2 += self._center_norms[None, :]
         np.maximum(d2, 0.0, out=d2)
         block_labels = np.argmin(d2, axis=1)

@@ -107,9 +107,12 @@ def fit(config: RunConfig, points: Any, *, sensitive: Any = None) -> ClusterMode
     Raises:
         KeyError: unknown ``config.method`` or unknown
             ``config.sensitive`` name.
+        ValueError: a NaN or inf in the features, for every method.
     """
     spec = get_method(config.method)
     features, cats, nums = _resolve_inputs(config, points, sensitive)
+    if not np.isfinite(features).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     specs = [*cats, *nums]
     estimator = spec.build(config)
     start = time.perf_counter()

@@ -25,6 +25,18 @@ Numeric fairness term (Eq. 22). Keep ``d = Σ_{x∈C} x_S − m·mean_X(S)`` per
 cluster/attribute; the cluster's term is ``(1/n²)·d²`` and the delta of
 moving a point with centered value y is ``±y·(2d ± y)``.
 
+Stacked categorical layout. All A categorical attributes share one code
+space of ΣV = Σ|V(S)| values: attribute a's value s is code
+``offset_a + s``. The caches are ``codes (A, n)`` (the narrowest unsigned
+dtype that holds ΣV), ``counts (ΣV, k)``, ``p (ΣV,)``, and per attribute
+``p2, norm (A,)`` and ``h, f (A, k)``, so every kernel is a fixed number
+of numpy calls whatever A is. Accumulation-order rule: each element is
+computed by the same expression as the scalar per-attribute formula, and
+the A terms are added in attribute order starting from 0.0 — by reducing
+over the *leading* attribute axis (:func:`_attr_sum`), never by a
+``.sum`` over a contiguous innermost axis, which numpy adds pairwise.
+Scores are therefore bit-identical to one-attribute-at-a-time evaluation.
+
 Floating-point hygiene: thousands of incremental updates accumulate error,
 so :meth:`ClusterState.resync` recomputes every cache from the raw label
 vector (the optimizer calls it once per outer iteration) and
@@ -42,19 +54,6 @@ from .attributes import CategoricalSpec, NumericSpec, validate_specs
 
 
 @dataclass
-class _CategoricalState:
-    """Caches for one categorical sensitive attribute."""
-
-    spec: CategoricalSpec
-    p: np.ndarray  # dataset distribution, shape (v,)
-    p2: float  # Σ p_s²
-    counts: np.ndarray  # (k, v) cluster value counts
-    f: np.ndarray  # (k,) Σ_s (c_s − m p_s)²
-    h: np.ndarray  # (k,) Σ_s p_s c_s
-    norm: float  # weight / |Values(S)|
-
-
-@dataclass
 class _NumericState:
     """Caches for one numeric sensitive attribute."""
 
@@ -64,6 +63,57 @@ class _NumericState:
     weight: float
 
 
+#: Rows per block of the categorical terms: larger (A, rows, k)
+#: temporaries fall out of cache.
+_ROW_BLOCK = 2048
+
+
+def _attr_sum(terms: np.ndarray) -> np.ndarray:
+    """Σ over the leading attribute axis, in attribute order from 0.0.
+
+    numpy reduces a leading axis slice by slice, the order of the
+    per-attribute formulas, but sums a run of one-element slices
+    pairwise; that case is padded to two columns first.
+    """
+    if terms.size == terms.shape[0] > 0:
+        padded = np.concatenate([terms, np.zeros_like(terms)], axis=-1)
+        return np.add.reduce(padded, axis=0)[..., :1]
+    return np.add.reduce(terms, axis=0)
+
+
+def _categorical_deltas(
+    codes: np.ndarray, cur: np.ndarray, m: np.ndarray, cats: tuple, cols: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(fair_in (b, c), fair_out (b,))`` summed over the attributes.
+
+    *codes* holds the rows' stacked codes as ``(A, b)``; *cats* is
+    ``(p, p2, counts, h, norm)``; *cols* restricts the joined clusters.
+    """
+    b = codes.shape[1]
+    if b > _ROW_BLOCK:
+        blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, b, _ROW_BLOCK)]
+        parts = [_categorical_deltas(codes[:, s], cur[s], m, cats, cols) for s in blocks]
+        return tuple(np.concatenate(pieces) for pieces in zip(*parts))
+    p, p2, counts, h, norm = cats
+    p_j = np.take(p, codes)  # (A, b)
+    self_term = 1.0 - 2.0 * p_j + p2[:, None]
+    counts_c, h_c, m_c = (counts, h, m) if cols is None else (counts[:, cols], h[:, cols], m[cols])
+    # gap[a, r, c] = (counts[j_ar, c] − m_c p_j) − (h[a, c] − m_c P2_a), in place.
+    gap = np.take(counts_c, codes, axis=0)  # (A, b, c)
+    gap -= m_c * p_j[:, :, None]
+    gap -= (h_c - m_c * p2[:, None])[:, None, :]
+    if cols is None:
+        gap_cur = gap[:, np.arange(b), cur]
+    else:  # the same expression, for clusters outside cols
+        m_cur = m[cur]
+        gap_cur = (counts[codes, cur] - m_cur * p_j) - (h[:, cur] - m_cur * p2[:, None])
+    fair_out = _attr_sum(norm[:, None] * (-2.0 * gap_cur + self_term))
+    gap *= 2.0
+    gap += self_term[:, :, None]
+    gap *= norm[:, None, None]
+    return _attr_sum(gap), fair_out
+
+
 def shard_move_deltas(
     xb: np.ndarray,
     x2: np.ndarray,
@@ -71,10 +121,11 @@ def shard_move_deltas(
     sums: np.ndarray,
     sum_sqnorm: np.ndarray,
     sizes_f: np.ndarray,
-    cats: list[tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, float]],
+    cats: tuple,
     nums: list[tuple[np.ndarray, float, np.ndarray]],
     lambda_: float,
     n2: float,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pure-function core of :meth:`ClusterState.batch_move_deltas`.
 
@@ -90,32 +141,37 @@ def shard_move_deltas(
         sums: frozen per-cluster sums ``S``, shape ``(k, d)``.
         sum_sqnorm: frozen ``‖S_C‖²``, shape ``(k,)``.
         sizes_f: frozen cluster sizes as float64, shape ``(k,)``.
-        cats: per categorical attribute, the tuple
-            ``(codes_b, p, p2, counts, h, norm)`` with ``codes_b`` already
-            gathered for the shard rows.
+        cats: the stacked categorical attributes (module docstring)
+            ``(codes, p, p2, counts, h, norm)`` with ``codes`` the
+            ``(A, b)`` stacked codes of the shard rows.
         nums: per numeric attribute, the tuple ``(y, weight, d)`` with
             ``y`` the gathered centered values.
         lambda_: fairness trade-off.
         n2: dataset ``n²`` as float (see :class:`ClusterState`).
+        cols: score only these clusters (see
+            :meth:`ClusterState.batch_move_deltas_cols`); default all k.
 
     Returns:
-        ``(b, k)`` matrix of objective deltas.
+        ``(b, k)`` matrix of objective deltas (``(b, len(cols))``).
     """
-    k = sums.shape[0]
-    b = xb.shape[0]
-    rows = np.arange(b)
+    rows = np.arange(xb.shape[0])
     m = sizes_f
-
-    dots = xb @ sums.T  # (b, k)
+    m_cur = m[cur]
+    if cols is None:
+        dots = xb @ sums.T  # (b, k)
+        dots_cur = dots[rows, cur]
+        ssq_in, m_in = sum_sqnorm, m
+    else:
+        dots = xb @ sums[cols].T  # (b, c)
+        dots_cur = np.einsum("ij,ij->i", xb, sums[cur])
+        ssq_in, m_in = sum_sqnorm[cols], m[cols]
+    # Divisors are clamped to >= 1, so no errstate guard is needed.
     delta_in = (
         x2[:, None]
-        + (sum_sqnorm / np.where(m > 0, m, 1.0))[None, :]
-        - (sum_sqnorm[None, :] + 2.0 * dots + x2[:, None]) / (m + 1.0)[None, :]
+        + (ssq_in / np.where(m_in > 0, m_in, 1.0))[None, :]
+        - (ssq_in[None, :] + 2.0 * dots + x2[:, None]) / (m_in + 1.0)[None, :]
     )
-    delta_in = np.where(m[None, :] > 0, delta_in, 0.0)
-
-    m_cur = m[cur]
-    dots_cur = dots[rows, cur]
+    delta_in = np.where(m_in[None, :] > 0, delta_in, 0.0)
     s2_minus = sum_sqnorm[cur] - 2.0 * dots_cur + x2
     delta_out = np.where(
         m_cur <= 1.0,
@@ -123,24 +179,18 @@ def shard_move_deltas(
         -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0) + sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
     )
 
-    fair_in = np.zeros((b, k), dtype=np.float64)
-    fair_out = np.zeros(b, dtype=np.float64)
-    for codes_b, p, p2, counts, h, norm in cats:
-        p_j = p[codes_b]  # (b,)
-        self_term = 1.0 - 2.0 * p_j + p2  # (b,)
-        # gap[r, c] = (counts[c, j_r] − m_c p_{j_r}) − (h_c − m_c P2)
-        gap = counts[:, codes_b].T - m[None, :] * p_j[:, None] - (
-            h[None, :] - m[None, :] * p2
-        )
-        fair_in += norm * (2.0 * gap + self_term[:, None])
-        fair_out += norm * (-2.0 * gap[rows, cur] + self_term)
+    fair_in, fair_out = _categorical_deltas(cats[0], cur, m, cats[1:], cols)
     for y, weight, d in nums:
-        fair_in += weight * (y[:, None] * (2.0 * d[None, :] + y[:, None]))
+        d_in = d if cols is None else d[cols]
+        fair_in += weight * (y[:, None] * (2.0 * d_in[None, :] + y[:, None]))
         fair_out += weight * (-y * (2.0 * d[cur] - y))
 
     deltas = delta_in + delta_out[:, None]
     deltas += (lambda_ / n2) * (fair_in + fair_out[:, None])
-    deltas[rows, cur] = 0.0
+    if cols is None:
+        deltas[rows, cur] = 0.0
+    else:
+        deltas[cols[None, :] == cur[:, None]] = 0.0
     return deltas
 
 
@@ -188,20 +238,36 @@ class ClusterState:
         self.sums = np.zeros((self.k, self.dim), dtype=np.float64)
         self.sum_sqnorm = np.zeros(self.k, dtype=np.float64)  # ‖S_C‖²
         self.sq_total = np.zeros(self.k, dtype=np.float64)  # Q_C = Σ ‖x‖²
-        self._cat: list[_CategoricalState] = []
-        for spec in self.categorical_specs:
-            p = spec.dataset_distribution
-            self._cat.append(
-                _CategoricalState(
-                    spec=spec,
-                    p=p,
-                    p2=float(np.sum(p * p)),
-                    counts=np.zeros((self.k, spec.n_values), dtype=np.float64),
-                    f=np.zeros(self.k, dtype=np.float64),
-                    h=np.zeros(self.k, dtype=np.float64),
-                    norm=spec.weight / spec.n_values,
-                )
-            )
+        # Stacked categorical attributes (see the module docstring).
+        cats = self.categorical_specs
+        dists = [spec.dataset_distribution for spec in cats]
+        sizes = [spec.n_values for spec in cats]
+        offsets = np.cumsum([0, *sizes])
+        self._segments = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        self._codes = np.empty((len(cats), self.n), dtype=np.min_scalar_type(offsets[-1]))
+        for a, spec in enumerate(cats):
+            np.add(spec.codes, offsets[a], out=self._codes[a], casting="unsafe")
+        self._p = np.concatenate([np.zeros(0), *dists])
+        self._p2 = np.array([float(np.sum(p * p)) for p in dists])
+        self._norm = np.array([spec.weight / spec.n_values for spec in cats])
+        # counts (ΣV, k), h (A, k) and f (A, k) are views of one flat cache.
+        v, a, k = int(offsets[-1]), len(cats), self.k
+        self._cache = np.zeros((v + 2 * a) * k)
+        self._counts = self._cache[: v * k].reshape(v, k)
+        self._h = self._cache[v * k : (v + a) * k].reshape(a, k)
+        self._f = self._cache[(v + a) * k :].reshape(a, k)
+        # apply_move updates 2A slots, (leave cur, join target) × attribute,
+        # in flat 1-D arrays: row 0 of _slots is set per move to the codes'
+        # counts rows, rows 1-2 are the h and f rows; p_j and the self term
+        # 1 − 2·p_j + P2 are looked up per counts entry; _steps[0] are signs.
+        self._rows = np.arange(v) * k
+        self._slots = np.zeros((3, 2 * a), dtype=np.intp)
+        self._slots[1:] = np.tile(k * (v + np.arange(2 * a).reshape(2, a)), 2)
+        self._slot_cluster = np.zeros(2 * a, dtype=np.intp)
+        self._slot_p2 = np.tile(self._p2, 2)
+        self._entry = np.repeat([self._p, 1.0 - 2.0 * self._p + np.repeat(self._p2, sizes)], k, 1)
+        self._steps = np.empty((3, 2 * a))
+        self._steps[0] = np.repeat([-1.0, 1.0], a)
         self._num: list[_NumericState] = []
         for spec in self.numeric_specs:
             centered = spec.values - spec.dataset_mean
@@ -236,12 +302,24 @@ class ClusterState:
         # updates in apply_move (small integers are exact in float64).
         self._sizes_f = self.sizes.astype(np.float64)
         m = self._sizes_f
-        for cat in self._cat:
-            v = cat.counts.shape[1]
-            cat.counts[:] = np.bincount(labels * v + cat.spec.codes, minlength=k * v).reshape(k, v)
-            resid = cat.counts - m[:, None] * cat.p[None, :]
-            cat.f = np.einsum("ij,ij->i", resid, resid)
-            cat.h = cat.counts @ cat.p
+        v = self._p.shape[0]
+        # Keys for max(n, 2¹⁶)/A rows at a time keep the temporaries O(n),
+        # as one attribute at a time did; integer counts add exactly.
+        step = max(self.n, 1 << 16) // max(len(self._segments), 1)
+        counts = sum(
+            np.bincount((labels[lo : lo + step] * v + self._codes[:, lo : lo + step]).ravel(),
+                        minlength=k * v)
+            for lo in range(0, self.n, step)
+        ).reshape(k, v).astype(np.float64)
+        resid = counts - m[:, None] * self._p[None, :]
+        # einsum's and BLAS's accumulation order depends on the vector
+        # length, so f and h reduce each attribute's own (k, |V|) block:
+        # the only way they stay bit-identical to per-attribute caches.
+        self._f[...] = np.array(
+            [np.einsum("ij,ij->i", resid[:, s], resid[:, s]) for s in self._segments]
+        ).reshape(-1, k)
+        self._h[...] = np.array([counts[:, s] @ self._p[s] for s in self._segments]).reshape(-1, k)
+        self._counts[...] = counts.T
         for num in self._num:
             num.d[:] = np.bincount(labels, weights=num.centered, minlength=k)
 
@@ -259,8 +337,8 @@ class ClusterState:
             "sums": self.sums,
             "sum_sqnorm": self.sum_sqnorm,
             "sizes_f": self._sizes_f,
-            "cat_counts": [cat.counts for cat in self._cat],
-            "cat_h": [cat.h for cat in self._cat],
+            "counts": self._counts,
+            "h": self._h,
             "num_d": [num.d for num in self._num],
         }
 
@@ -270,8 +348,8 @@ class ClusterState:
         The self-contained sibling of :meth:`export_scoring_stats`: the
         shard's data rows are gathered here so the peer needs no copy of
         the static data at all — it feeds the returned arrays straight
-        into :func:`shard_move_deltas`. This is the payload of the fleet
-        ``/score`` route's inline mode.
+        into :func:`shard_move_deltas`, as :meth:`batch_move_deltas` does
+        in process. This is the payload of the ``/score`` inline mode.
         """
         indices = np.asarray(indices, dtype=np.int64)
         return {
@@ -281,10 +359,8 @@ class ClusterState:
             "sums": self.sums,
             "sum_sqnorm": self.sum_sqnorm,
             "sizes_f": self._sizes_f,
-            "cats": [
-                (cat.spec.codes[indices], cat.p, cat.p2, cat.counts, cat.h, cat.norm)
-                for cat in self._cat
-            ],
+            "cats": (np.take(self._codes, indices, axis=1), self._p, self._p2,
+                     self._counts, self._h, self._norm),
             "nums": [(num.centered[indices], num.weight, num.d) for num in self._num],
             "n2": self._n2,
         }
@@ -302,9 +378,8 @@ class ClusterState:
         self.sum_sqnorm = np.ascontiguousarray(stats["sum_sqnorm"], dtype=np.float64)
         self._sizes_f = np.ascontiguousarray(stats["sizes_f"], dtype=np.float64)
         self.sizes = self._sizes_f.astype(np.int64)
-        for cat, counts, h in zip(self._cat, stats["cat_counts"], stats["cat_h"]):
-            cat.counts = np.ascontiguousarray(counts, dtype=np.float64)
-            cat.h = np.ascontiguousarray(h, dtype=np.float64)
+        self._counts[...] = stats["counts"]
+        self._h[...] = stats["h"]
         for num, d in zip(self._num, stats["num_d"]):
             num.d = np.ascontiguousarray(d, dtype=np.float64)
         self.mutations += 1
@@ -314,17 +389,10 @@ class ClusterState:
         snapshot = ClusterState(
             self.points, self.labels, self.k, self.categorical_specs, self.numeric_specs
         )
-        err = float(np.max(np.abs(self.sums - snapshot.sums), initial=0.0))
-        err = max(err, float(np.max(np.abs(self.sum_sqnorm - snapshot.sum_sqnorm), initial=0.0)))
-        err = max(err, float(np.max(np.abs(self.sq_total - snapshot.sq_total), initial=0.0)))
-        err = max(err, float(np.max(np.abs(self.sizes - snapshot.sizes), initial=0)))
-        for mine, theirs in zip(self._cat, snapshot._cat):
-            err = max(err, float(np.max(np.abs(mine.counts - theirs.counts), initial=0.0)))
-            err = max(err, float(np.max(np.abs(mine.f - theirs.f), initial=0.0)))
-            err = max(err, float(np.max(np.abs(mine.h - theirs.h), initial=0.0)))
-        for mine, theirs in zip(self._num, snapshot._num):
-            err = max(err, float(np.max(np.abs(mine.d - theirs.d), initial=0.0)))
-        return err
+        names = ("sums", "sum_sqnorm", "sq_total", "sizes", "_counts", "_f", "_h")
+        pairs = [(getattr(self, name), getattr(snapshot, name)) for name in names]
+        pairs += [(mine.d, theirs.d) for mine, theirs in zip(self._num, snapshot._num)]
+        return max(float(np.max(np.abs(mine - theirs), initial=0.0)) for mine, theirs in pairs)
 
     # ------------------------------------------------------------------ #
     # Objective evaluation from caches                                    #
@@ -340,9 +408,7 @@ class ClusterState:
     def fairness_term(self) -> float:
         """Current deviation_S(C, X) per Eqs. 7 / 22 / 23."""
         inv_n2 = 1.0 / self._n2
-        total = 0.0
-        for cat in self._cat:
-            total += cat.norm * float(cat.f.sum())
+        total = float(_attr_sum((self._norm * self._f.sum(axis=1))[:, None])[0])
         for num in self._num:
             total += num.weight * float(np.sum(num.d * num.d))
         return inv_n2 * total
@@ -394,16 +460,16 @@ class ClusterState:
             delta_out = -x2 - s2_minus / (m_cur - 1.0) + self.sum_sqnorm[cur] / m_cur
         deltas = delta_in + delta_out
 
-        # --- Fairness term ------------------------------------------------
-        fair_in = np.zeros(self.k, dtype=np.float64)
-        fair_out = 0.0
-        for cat in self._cat:
-            j = int(cat.spec.codes[i])
-            p_j = float(cat.p[j])
-            self_term = 1.0 - 2.0 * p_j + cat.p2
-            gap = (cat.counts[:, j] - m * p_j) - (cat.h - m * cat.p2)
-            fair_in += cat.norm * (2.0 * gap + self_term)
-            fair_out += cat.norm * (-2.0 * float(gap[cur]) + self_term)
+        # --- Fairness term (column k of `terms` is leaving cur) ----------
+        j = self._codes[:, i]
+        p_j = self._p[j]
+        self_term = 1.0 - 2.0 * p_j + self._p2
+        gap = (self._counts[j] - m * p_j[:, None]) - (self._h - m * self._p2[:, None])
+        terms = np.empty((j.shape[0], self.k + 1))
+        np.multiply(self._norm[:, None], 2.0 * gap + self_term[:, None], out=terms[:, :-1])
+        terms[:, -1] = self._norm * (-2.0 * gap[:, cur] + self_term)
+        fair = _attr_sum(terms)
+        fair_in, fair_out = fair[:-1], float(fair[-1])
         for num in self._num:
             y = float(num.centered[i])
             fair_in += num.weight * (y * (2.0 * num.d + y))
@@ -423,25 +489,7 @@ class ClusterState:
         a batch, decisions are made against a stale snapshot and applied
         together.
         """
-        # Divisors are clamped to >= 1 everywhere, so no errstate guards
-        # are needed (this is a hot call for the chunked/mini-batch
-        # sweeps, where small batches make fixed overhead visible).
-        indices = np.asarray(indices, dtype=np.int64)
-        return shard_move_deltas(
-            self.points[indices],
-            self.point_sqnorm[indices],
-            self.labels[indices],
-            self.sums,
-            self.sum_sqnorm,
-            self._sizes_f,
-            [
-                (cat.spec.codes[indices], cat.p, cat.p2, cat.counts, cat.h, cat.norm)
-                for cat in self._cat
-            ],
-            [(num.centered[indices], num.weight, num.d) for num in self._num],
-            float(lambda_),
-            self._n2,
-        )
+        return shard_move_deltas(**self.export_shard_inline(indices), lambda_=float(lambda_))
 
     def batch_move_deltas_cols(
         self, indices: np.ndarray, clusters: np.ndarray, lambda_: float
@@ -458,60 +506,9 @@ class ClusterState:
         Entries where a cluster equals the object's current cluster are
         0, mirroring :meth:`batch_move_deltas`.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        clusters = np.asarray(clusters, dtype=np.int64)
-        xb = self.points[indices]  # (b, d)
-        x2 = self.point_sqnorm[indices]  # (b,)
-        cur = self.labels[indices]  # (b,)
-        b = indices.shape[0]
-        m = self._sizes_f
-
-        sums_c = self.sums[clusters]  # (c, d)
-        ssq_c = self.sum_sqnorm[clusters]  # (c,)
-        m_c = m[clusters]  # (c,)
-        dots = xb @ sums_c.T  # (b, c)
-        delta_in = (
-            x2[:, None]
-            + (ssq_c / np.where(m_c > 0, m_c, 1.0))[None, :]
-            - (ssq_c[None, :] + 2.0 * dots + x2[:, None]) / (m_c + 1.0)[None, :]
-        )
-        delta_in = np.where(m_c[None, :] > 0, delta_in, 0.0)
-
-        m_cur = m[cur]
-        dots_cur = np.einsum("ij,ij->i", xb, self.sums[cur])
-        s2_minus = self.sum_sqnorm[cur] - 2.0 * dots_cur + x2
-        delta_out = np.where(
-            m_cur <= 1.0,
-            0.0,
-            -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0)
-            + self.sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
-        )
-
-        fair_in = np.zeros((b, clusters.shape[0]), dtype=np.float64)
-        fair_out = np.zeros(b, dtype=np.float64)
-        for cat in self._cat:
-            j = cat.spec.codes[indices]  # (b,)
-            p_j = cat.p[j]  # (b,)
-            self_term = 1.0 - 2.0 * p_j + cat.p2  # (b,)
-            # Single (c, b) gather; the naive counts[clusters][:, j] would
-            # materialize an intermediate (c, v) copy first.
-            gap = cat.counts[np.ix_(clusters, j)].T - m_c[None, :] * p_j[:, None] - (
-                cat.h[clusters][None, :] - m_c[None, :] * cat.p2
-            )
-            fair_in += cat.norm * (2.0 * gap + self_term[:, None])
-            gap_cur = (cat.counts[cur, j] - m_cur * p_j) - (cat.h[cur] - m_cur * cat.p2)
-            fair_out += cat.norm * (-2.0 * gap_cur + self_term)
-        for num in self._num:
-            y = num.centered[indices]  # (b,)
-            fair_in += num.weight * (
-                y[:, None] * (2.0 * num.d[clusters][None, :] + y[:, None])
-            )
-            fair_out += num.weight * (-y * (2.0 * num.d[cur] - y))
-
-        deltas = delta_in + delta_out[:, None]
-        deltas += (lambda_ / self._n2) * (fair_in + fair_out[:, None])
-        deltas[clusters[None, :] == cur[:, None]] = 0.0
-        return deltas
+        cols = np.asarray(clusters, dtype=np.int64)
+        shard = self.export_shard_inline(indices)
+        return shard_move_deltas(**shard, lambda_=float(lambda_), cols=cols)
 
     def apply_move(self, i: int, target: int) -> None:
         """Move object *i* to cluster *target*, updating all caches.
@@ -529,22 +526,25 @@ class ClusterState:
         x2 = float(self.point_sqnorm[i])
         m = self._sizes_f
 
-        for cat in self._cat:
-            j = int(cat.spec.codes[i])
-            p_j = float(cat.p[j])
-            self_term = 1.0 - 2.0 * p_j + cat.p2
-            # Removal from cur (counts still include i).
-            gap_cur = (cat.counts[cur, j] - m[cur] * p_j) - (cat.h[cur] - m[cur] * cat.p2)
-            cat.f[cur] += -2.0 * gap_cur + self_term
-            cat.h[cur] -= p_j
-            cat.counts[cur, j] -= 1.0
-            # Insertion into target (counts exclude i).
-            gap_tgt = (cat.counts[target, j] - m[target] * p_j) - (
-                cat.h[target] - m[target] * cat.p2
-            )
-            cat.f[target] += 2.0 * gap_tgt + self_term
-            cat.h[target] += p_j
-            cat.counts[target, j] += 1.0
+        # Removal from cur (counts still include i) and insertion into
+        # target (counts exclude i) touch disjoint cache entries, so both
+        # go at once as columns (cur, target); ``x + (−1)·y`` is ``x − y``.
+        rows = self._rows[self._codes[:, i]]
+        a = rows.shape[0]
+        slots, clusters, steps = self._slots, self._slot_cluster, self._steps
+        slots[0, :a] = slots[0, a:] = rows
+        clusters[:a], clusters[a:] = cur, target
+        at = slots + clusters  # flat counts, h, f entries: (3, 2A)
+        old = self._cache[at]
+        p_j = self._entry[0][at[0]]
+        m_at = m[clusters]
+        gap = (old[0] - m_at * p_j) - (old[1] - m_at * self._slot_p2)
+        np.multiply(steps[0], p_j, out=steps[1])  # [±1, ±p_j, ±2·gap + self term]
+        np.multiply(steps[0], gap, out=steps[2])
+        steps[2] *= 2.0
+        steps[2] += self._entry[1][at[0]]
+        old += steps
+        self._cache[at] = old
 
         for num in self._num:
             y = float(num.centered[i])
@@ -576,9 +576,9 @@ class ClusterState:
         """
         out: dict[str, np.ndarray] = {}
         m = self._sizes_f
-        for cat in self._cat:
-            frac = np.full_like(cat.counts, np.nan)
-            nonempty = m > 0
-            frac[nonempty] = cat.counts[nonempty] / m[nonempty, None]
-            out[cat.spec.name] = frac
+        nonempty = m > 0
+        for spec, s in zip(self.categorical_specs, self._segments):
+            frac = np.full((self.k, spec.n_values), np.nan)
+            frac[nonempty] = self._counts[s].T[nonempty] / m[nonempty, None]
+            out[spec.name] = frac
         return out

@@ -97,3 +97,19 @@ def test_batched_assign_convenience(problem):
     np.testing.assert_array_equal(
         batched_assign(points, centers), Assigner(centers).assign(points)
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_refused_not_labelled(bad):
+    """A NaN/inf row has no nearest center: assign and assign_iter raise
+    instead of returning an argmin over NaN distances."""
+    service = Assigner(np.array([[0.0, 0.0], [5.0, 5.0]]))
+    points = np.array([[0.0, 1.0], [4.0, 4.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        service.assign(points)
+    with pytest.raises(ValueError, match="finite"):
+        service.assign(points, chunk_size=1, n_jobs=2)
+    with pytest.raises(ValueError, match="finite"):
+        list(service.assign_iter(points))
+    with pytest.raises(ValueError, match="finite"):
+        list(service.assign_iter(iter([points[:2], points[2:]])))

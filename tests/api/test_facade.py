@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, evaluate_model, fit, load
+from repro.api import METHOD_REGISTRY, RunConfig, evaluate_model, fit, load
 from repro.core import CategoricalSpec, NumericSpec
 from repro.data import make_fair_problem
 
@@ -108,3 +108,14 @@ def test_evaluate_model(dataset):
     ev = evaluate_model(model, dataset)
     assert ev.co > 0.0
     assert {a.name for a in ev.fairness.attributes} == {"color", "shade", "age"}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_points_for_every_method(method, bad):
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(40, 3))
+    points[7, 1] = bad
+    with pytest.raises(ValueError, match=r"points must be finite \(no NaN or inf\)"):
+        fit(RunConfig(method=method, k=3, seed=0), points,
+            sensitive={"group": rng.integers(0, 2, 40)})

@@ -208,8 +208,7 @@ def test_resync_equals_add_at_rebuild_bitwise(seed, n, k, dim):
     sum_sqnorm = np.einsum("ij,ij->i", oracle["sums"], oracle["sums"])
     assert np.array_equal(stats["sum_sqnorm"], sum_sqnorm)
     assert np.array_equal(state.sq_total, oracle["sq_total"])
-    for mine, theirs in zip(stats["cat_counts"], oracle["cat_counts"]):
-        assert np.array_equal(mine, theirs)
+    assert np.array_equal(stats["counts"], np.concatenate([c.T for c in oracle["cat_counts"]]))
     for mine, theirs in zip(stats["num_d"], oracle["num_d"]):
         assert np.array_equal(mine, theirs)
     assert state.consistency_error() == 0.0
@@ -267,3 +266,257 @@ def test_rejects_duplicate_spec_names():
             ],
             [],
         )
+
+
+class _PerAttributeOracle:
+    """The per-attribute caches and move-delta formulas, one attribute at
+    a time, as they stood before the attributes were stacked into one code
+    space. An independent reference for the stacked kernels: every
+    engine-vs-engine bit-identity battery changes together with them.
+    """
+
+    def __init__(self, state: ClusterState) -> None:
+        self.points, self.x2, self.k, self.n2 = state.points, state.point_sqnorm, state.k, state._n2
+        self.labels = state.labels.copy()
+        self.cats = [
+            {"codes": s.codes, "p": s.dataset_distribution, "norm": s.weight / s.n_values}
+            for s in state.categorical_specs
+        ]
+        for cat in self.cats:
+            cat["p2"] = float(np.sum(cat["p"] * cat["p"]))
+        self.nums = [
+            {"y": s.values - s.dataset_mean, "weight": s.weight} for s in state.numeric_specs
+        ]
+        self.resync()
+
+    def resync(self) -> None:
+        labels, k = self.labels, self.k
+        self.sizes_f = np.bincount(labels, minlength=k).astype(np.float64)
+        self.sums = np.stack(
+            [np.bincount(labels, weights=col, minlength=k) for col in self.points.T], axis=1
+        )
+        self.sum_sqnorm = np.einsum("ij,ij->i", self.sums, self.sums)
+        for cat in self.cats:
+            v = cat["p"].shape[0]
+            cat["counts"] = np.bincount(labels * v + cat["codes"], minlength=k * v).reshape(k, v)
+            cat["counts"] = cat["counts"].astype(np.float64)
+            resid = cat["counts"] - self.sizes_f[:, None] * cat["p"][None, :]
+            cat["f"] = np.einsum("ij,ij->i", resid, resid)
+            cat["h"] = cat["counts"] @ cat["p"]
+        for num in self.nums:
+            num["d"] = np.bincount(labels, weights=num["y"], minlength=k)
+
+    def move_deltas(self, i: int, lam: float) -> np.ndarray:
+        cur, x, x2, m = int(self.labels[i]), self.points[i], float(self.x2[i]), self.sizes_f
+        dots = self.sums @ x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta_in = x2 + self.sum_sqnorm / np.where(m > 0, m, 1.0) - (
+                self.sum_sqnorm + 2.0 * dots + x2
+            ) / (m + 1.0)
+        delta_in = np.where(m > 0, delta_in, 0.0)
+        m_cur = float(m[cur])
+        delta_out = 0.0
+        if m_cur > 1.0:
+            s2_minus = self.sum_sqnorm[cur] - 2.0 * dots[cur] + x2
+            delta_out = -x2 - s2_minus / (m_cur - 1.0) + self.sum_sqnorm[cur] / m_cur
+        deltas = delta_in + delta_out
+        fair_in, fair_out = np.zeros(self.k), 0.0
+        for cat in self.cats:
+            j = int(cat["codes"][i])
+            p_j = float(cat["p"][j])
+            self_term = 1.0 - 2.0 * p_j + cat["p2"]
+            gap = (cat["counts"][:, j] - m * p_j) - (cat["h"] - m * cat["p2"])
+            fair_in += cat["norm"] * (2.0 * gap + self_term)
+            fair_out += cat["norm"] * (-2.0 * float(gap[cur]) + self_term)
+        for num in self.nums:
+            y = float(num["y"][i])
+            fair_in += num["weight"] * (y * (2.0 * num["d"] + y))
+            fair_out += num["weight"] * (-y * (2.0 * float(num["d"][cur]) - y))
+        deltas += (lam / self.n2) * (fair_in + fair_out)
+        deltas[cur] = 0.0
+        return deltas
+
+    def batch_move_deltas(self, indices: np.ndarray, lam: float, cols=None) -> np.ndarray:
+        """The b×k shard kernel, or with *cols* the b×c repair kernel."""
+        xb, x2, cur, m = self.points[indices], self.x2[indices], self.labels[indices], self.sizes_f
+        b, rows = indices.shape[0], np.arange(indices.shape[0])
+        clusters = np.arange(self.k) if cols is None else cols
+        m_c, ssq_c = m[clusters], self.sum_sqnorm[clusters]
+        dots = xb @ self.sums[clusters].T
+        delta_in = (
+            x2[:, None]
+            + (ssq_c / np.where(m_c > 0, m_c, 1.0))[None, :]
+            - (ssq_c[None, :] + 2.0 * dots + x2[:, None]) / (m_c + 1.0)[None, :]
+        )
+        delta_in = np.where(m_c[None, :] > 0, delta_in, 0.0)
+        m_cur = m[cur]
+        if cols is None:
+            dots_cur = dots[rows, cur]
+        else:
+            dots_cur = np.einsum("ij,ij->i", xb, self.sums[cur])
+        s2_minus = self.sum_sqnorm[cur] - 2.0 * dots_cur + x2
+        delta_out = np.where(
+            m_cur <= 1.0,
+            0.0,
+            -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0)
+            + self.sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
+        )
+        fair_in, fair_out = np.zeros((b, clusters.shape[0])), np.zeros(b)
+        for cat in self.cats:
+            j = cat["codes"][indices]
+            p_j = cat["p"][j]
+            self_term = 1.0 - 2.0 * p_j + cat["p2"]
+            gap = cat["counts"][np.ix_(clusters, j)].T - m_c[None, :] * p_j[:, None] - (
+                cat["h"][clusters][None, :] - m_c[None, :] * cat["p2"]
+            )
+            fair_in += cat["norm"] * (2.0 * gap + self_term[:, None])
+            gap_cur = (cat["counts"][cur, j] - m_cur * p_j) - (cat["h"][cur] - m_cur * cat["p2"])
+            fair_out += cat["norm"] * (-2.0 * gap_cur + self_term)
+        for num in self.nums:
+            y = num["y"][indices]
+            d_c = num["d"][clusters]
+            fair_in += num["weight"] * (y[:, None] * (2.0 * d_c[None, :] + y[:, None]))
+            fair_out += num["weight"] * (-y * (2.0 * num["d"][cur] - y))
+        deltas = delta_in + delta_out[:, None]
+        deltas += (lam / self.n2) * (fair_in + fair_out[:, None])
+        deltas[clusters[None, :] == cur[:, None]] = 0.0
+        return deltas
+
+    def apply_move(self, i: int, target: int) -> None:
+        cur = int(self.labels[i])
+        if target == cur:
+            return
+        m = self.sizes_f
+        for cat in self.cats:
+            j = int(cat["codes"][i])
+            p_j = float(cat["p"][j])
+            self_term = 1.0 - 2.0 * p_j + cat["p2"]
+            gap_cur = (cat["counts"][cur, j] - m[cur] * p_j) - (cat["h"][cur] - m[cur] * cat["p2"])
+            cat["f"][cur] += -2.0 * gap_cur + self_term
+            cat["h"][cur] -= p_j
+            cat["counts"][cur, j] -= 1.0
+            gap_tgt = (cat["counts"][target, j] - m[target] * p_j) - (
+                cat["h"][target] - m[target] * cat["p2"]
+            )
+            cat["f"][target] += 2.0 * gap_tgt + self_term
+            cat["h"][target] += p_j
+            cat["counts"][target, j] += 1.0
+        for num in self.nums:
+            y = float(num["y"][i])
+            num["d"][cur] -= y
+            num["d"][target] += y
+        x = self.points[i]
+        self.sums[cur] -= x
+        self.sums[target] += x
+        self.sum_sqnorm[cur] = float(self.sums[cur] @ self.sums[cur])
+        self.sum_sqnorm[target] = float(self.sums[target] @ self.sums[target])
+        m[cur] -= 1.0
+        m[target] += 1.0
+        self.labels[i] = target
+
+    def fairness_term(self) -> float:
+        total = 0.0
+        for cat in self.cats:
+            total += cat["norm"] * float(cat["f"].sum())
+        for num in self.nums:
+            total += num["weight"] * float(np.sum(num["d"] * num["d"]))
+        return (1.0 / self.n2) * total
+
+
+def _assert_caches_equal(state: ClusterState, oracle: _PerAttributeOracle) -> None:
+    k, stats = state.k, state.export_scoring_stats()
+    cats = oracle.cats
+    stacked = np.concatenate([np.zeros((0, k))] + [c["counts"].T for c in cats])
+    assert np.array_equal(stats["counts"], stacked)
+    assert np.array_equal(stats["h"], np.array([c["h"] for c in cats]).reshape(-1, k))
+    assert np.array_equal(state._f, np.array([c["f"] for c in cats]).reshape(-1, k))
+    for mine, theirs in zip(stats["num_d"], oracle.nums):
+        assert np.array_equal(mine, theirs["d"])
+    assert np.array_equal(stats["sums"], oracle.sums)
+    assert np.array_equal(stats["sum_sqnorm"], oracle.sum_sqnorm)
+    assert np.array_equal(stats["sizes_f"], oracle.sizes_f)
+    assert state.fairness_term() == oracle.fairness_term()
+
+
+_KINDS = st.sampled_from(["plain", "unobserved", "single", "weight0"])
+
+
+def _oracle_problem(rng: np.random.Generator, n: int, kinds: list[str], n_num: int):
+    cats = []
+    for a, kind in enumerate(kinds):
+        v = int(rng.integers(2, 7))
+        codes = rng.integers(0, v, n)
+        if kind == "unobserved":  # a declared value no object takes
+            cats.append(CategoricalSpec(f"c{a}", codes, n_values=v + 1))
+        elif kind == "single":
+            cats.append(CategoricalSpec(f"c{a}", np.zeros(n, dtype=int)))
+        else:
+            weight = 0.0 if kind == "weight0" else float(rng.uniform(0.5, 2))
+            cats.append(CategoricalSpec(f"c{a}", codes, n_values=v, weight=weight))
+    nums = [NumericSpec(f"z{a}", rng.normal(size=n), weight=float(rng.uniform(0.5, 2)))
+            for a in range(n_num)]
+    if not cats and not nums:
+        nums = [NumericSpec("z", rng.normal(size=n))]
+    return cats, nums
+
+
+@given(
+    st.integers(0, 10_000),
+    st.lists(_KINDS, max_size=6),
+    st.integers(0, 2),
+    st.integers(1, 12),
+    st.sampled_from([1, 2, 33, 300]),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_kernels_match_per_attribute_oracle(seed, kinds, n_num, k, b):
+    """Deltas and every cache equal the per-attribute formulas bit for
+    bit, across interleaved apply_move and resync."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(max(k, 2), 80))
+    points = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0)
+    cats, nums = _oracle_problem(rng, n, kinds, n_num)
+    lam = float(rng.uniform(0.0, 1e4))
+    state = ClusterState(points, rng.integers(0, k, n), k, cats, nums)
+    oracle = _PerAttributeOracle(state)
+    for _ in range(6):
+        indices = rng.integers(0, n, b)
+        cols = rng.integers(0, k, int(rng.integers(1, 3)))
+        assert np.array_equal(
+            state.batch_move_deltas(indices, lam), oracle.batch_move_deltas(indices, lam)
+        )
+        assert np.array_equal(
+            state.batch_move_deltas_cols(indices, cols, lam),
+            oracle.batch_move_deltas(indices, lam, cols),
+        )
+        for i in indices[:5]:
+            assert np.array_equal(state.move_deltas(int(i), lam), oracle.move_deltas(int(i), lam))
+        for _ in range(int(rng.integers(0, 8))):
+            i, target = int(rng.integers(0, n)), int(rng.integers(0, k))
+            state.apply_move(i, target)
+            oracle.apply_move(i, target)
+        _assert_caches_equal(state, oracle)
+        if rng.random() < 0.3:
+            state.resync()
+            oracle.resync()
+            _assert_caches_equal(state, oracle)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_attribute_sums_stay_ordered_past_eight_attributes(b):
+    """numpy sums a run of eight or more single elements pairwise; the
+    attribute axis must still be added in order (b=1 hits that case)."""
+    rng = np.random.default_rng(b)
+    n, k = 40, 3
+    cats = [CategoricalSpec(f"c{a}", rng.integers(0, 3, n), weight=float(rng.uniform(0.1, 9)))
+            for a in range(11)]
+    state = ClusterState(rng.normal(size=(n, 2)), rng.integers(0, k, n), k, cats, [])
+    oracle = _PerAttributeOracle(state)
+    indices = rng.integers(0, n, b)
+    lam, cols, i = 7e3, np.array([0, 2]), int(indices[0])
+    assert np.array_equal(
+        state.batch_move_deltas(indices, lam), oracle.batch_move_deltas(indices, lam)
+    )
+    repaired = state.batch_move_deltas_cols(indices, cols, lam)
+    assert np.array_equal(repaired, oracle.batch_move_deltas(indices, lam, cols))
+    assert np.array_equal(state.move_deltas(i, lam), oracle.move_deltas(i, lam))
+    assert state.fairness_term() == oracle.fairness_term()

@@ -126,3 +126,19 @@ def test_admin_rollout_endpoint(fleet):
         assert response.version == v2
         np.testing.assert_array_equal(response.labels, other.predict(probe))
     assert registry.latest_version() == v2
+
+
+def test_non_finite_points_through_proxy_are_400(fleet):
+    """Scattered npy and stream bodies with a NaN or inf row are a 400."""
+    _, proxy, _, model, _, probe = fleet
+    with ServingClient(url=proxy.url) as client:
+        for bad in (np.nan, -np.inf):
+            points = probe.copy()
+            points[-1, 0] = bad
+            for send in (lambda: client.assign(points, npy=True),
+                         lambda: client.assign_stream(points)):
+                with pytest.raises(ServingClientError, match="finite") as excinfo:
+                    send()
+                assert excinfo.value.status == 400
+        response = client.assign(probe, npy=True)
+        np.testing.assert_array_equal(response.labels, model.predict(probe))

@@ -235,3 +235,17 @@ def test_server_requires_exactly_one_source(tmp_path):
         AssignmentServer()
     with pytest.raises(ValueError, match="exactly one"):
         AssignmentServer(registry=tmp_path, model_path=tmp_path)
+
+
+def test_non_finite_points_are_400_not_labels(served):
+    """npy and stream /assign bodies with a NaN or inf row get a 400."""
+    _, _, client, _ = served
+    for bad in (np.nan, np.inf):
+        points = np.ones((6, D))
+        points[4, 2] = bad
+        for send in (lambda: client.assign(points, npy=True), lambda: client.assign_stream(points)):
+            with pytest.raises(ServingClientError, match="finite") as excinfo:
+                send()
+            assert excinfo.value.status == 400
+    # The server is unharmed.
+    assert client.assign(np.ones((2, D)), npy=True).labels.shape == (2,)
