@@ -36,6 +36,8 @@ the A terms are added in attribute order starting from 0.0 — by reducing
 over the *leading* attribute axis (:func:`_attr_sum`), never by a
 ``.sum`` over a contiguous innermost axis, which numpy adds pairwise.
 Scores are therefore bit-identical to one-attribute-at-a-time evaluation.
+:func:`split_categorical` gives that per-attribute form (the ``/score``
+wire's) and :func:`stack_categorical` inverts it.
 
 Floating-point hygiene: thousands of incremental updates accumulate error,
 so :meth:`ClusterState.resync` recomputes every cache from the raw label
@@ -63,11 +65,6 @@ class _NumericState:
     weight: float
 
 
-#: Rows per block of the categorical terms: larger (A, rows, k)
-#: temporaries fall out of cache.
-_ROW_BLOCK = 2048
-
-
 def _attr_sum(terms: np.ndarray) -> np.ndarray:
     """Σ over the leading attribute axis, in attribute order from 0.0.
 
@@ -90,10 +87,6 @@ def _categorical_deltas(
     ``(p, p2, counts, h, norm)``; *cols* restricts the joined clusters.
     """
     b = codes.shape[1]
-    if b > _ROW_BLOCK:
-        blocks = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, b, _ROW_BLOCK)]
-        parts = [_categorical_deltas(codes[:, s], cur[s], m, cats, cols) for s in blocks]
-        return tuple(np.concatenate(pieces) for pieces in zip(*parts))
     p, p2, counts, h, norm = cats
     p_j = np.take(p, codes)  # (A, b)
     self_term = 1.0 - 2.0 * p_j + p2[:, None]
@@ -192,6 +185,36 @@ def shard_move_deltas(
     else:
         deltas[cols[None, :] == cur[:, None]] = 0.0
     return deltas
+
+
+def split_categorical(cats: tuple, sizes: list[int]) -> list[tuple]:
+    """The stacked *cats* of :func:`shard_move_deltas`, one attribute at a time.
+
+    Returns, per attribute of ``sizes[a]`` values, ``(codes (b,) int64
+    from 0, p (|V|,), p2, counts (k, |V|), h (k,), norm)``: the form the
+    ``/score`` wire carries. :func:`stack_categorical` inverts it.
+    """
+    codes, p, p2, counts, h, norm = cats
+    bounds = np.cumsum([0, *sizes])
+    return [
+        (codes[a].astype(np.int64) - lo, p[lo:hi], float(p2[a]),
+         np.ascontiguousarray(counts[lo:hi].T), h[a], float(norm[a]))
+        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def stack_categorical(parts: list[tuple], b: int, k: int) -> tuple:
+    """The stacked *cats* of :func:`split_categorical` *parts* (*b* rows, *k* clusters)."""
+    a = len(parts)
+    offsets = np.cumsum([0, *(len(part[1]) for part in parts)])[:-1]
+    return (
+        np.array([part[0] for part in parts], dtype=np.int64).reshape(a, b) + offsets[:, None],
+        np.concatenate([np.zeros(0), *(part[1] for part in parts)]),
+        np.array([part[2] for part in parts], dtype=np.float64),
+        np.concatenate([np.zeros((0, k)), *(part[3].T for part in parts)]),
+        np.array([part[4] for part in parts], dtype=np.float64).reshape(a, k),
+        np.array([part[5] for part in parts], dtype=np.float64),
+    )
 
 
 class ClusterState:
@@ -378,7 +401,7 @@ class ClusterState:
         self.sum_sqnorm = np.ascontiguousarray(stats["sum_sqnorm"], dtype=np.float64)
         self._sizes_f = np.ascontiguousarray(stats["sizes_f"], dtype=np.float64)
         self.sizes = self._sizes_f.astype(np.int64)
-        self._counts[...] = stats["counts"]
+        self._counts[...] = stats["counts"]  # views of the flat cache: fill in place
         self._h[...] = stats["h"]
         for num, d in zip(self._num, stats["num_d"]):
             num.d = np.ascontiguousarray(d, dtype=np.float64)

@@ -72,7 +72,7 @@ from typing import Any
 import numpy as np
 
 from ..core.attributes import CategoricalSpec, NumericSpec
-from ..core.state import ClusterState, shard_move_deltas
+from ..core.state import ClusterState, shard_move_deltas, split_categorical, stack_categorical
 from .wire import (
     StreamReader,
     WireFormatError,
@@ -149,49 +149,6 @@ def request_frame_count(mode: str, cats: int, nums: int) -> int:
     raise ScoreFormatError(f"unknown /score mode {mode!r}")
 
 
-# The state keeps its categorical attributes in one stacked code space
-# (``repro.core.state`` module docstring); the wire carries them one
-# attribute at a time, as it always has. These helpers convert.
-
-
-def _segments(sizes: list[int]) -> list[tuple[int, int]]:
-    offsets = np.cumsum([0, *sizes])
-    return list(zip(offsets[:-1], offsets[1:]))
-
-
-def _split_counts(counts: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """The stacked ``(ΣV, k)`` counts as per-attribute ``(k, v)`` frames."""
-    return [np.ascontiguousarray(counts[lo:hi].T) for lo, hi in _segments(sizes)]
-
-
-def _split_cats(cats: tuple, sizes: list[int]) -> list[tuple]:
-    """Per-attribute ``(codes, p, p2, counts, h, norm)`` frames of a shard."""
-    codes, p, p2, counts, h, norm = cats
-    return [
-        (codes[a].astype(np.int64) - lo, p[lo:hi], float(p2[a]), c, h[a], float(norm[a]))
-        for a, ((lo, hi), c) in enumerate(zip(_segments(sizes), _split_counts(counts, sizes)))
-    ]
-
-
-def _stack_cats(parts: list[tuple], b: int, k: int) -> tuple:
-    """The stacked ``cats`` argument of :func:`shard_move_deltas`."""
-    offsets = np.cumsum([0, *(part[1].shape[0] for part in parts)])
-    codes = np.array([part[0] for part in parts], dtype=np.int64).reshape(-1, b)
-    return (
-        codes + offsets[:-1, None],
-        np.concatenate([np.zeros(0), *(part[1] for part in parts)]),
-        np.array([part[2] for part in parts]),
-        _stack_counts([part[3] for part in parts], k),
-        np.array([part[4] for part in parts]).reshape(-1, k),
-        np.array([part[5] for part in parts]),
-    )
-
-
-def _stack_counts(counts: list[np.ndarray], k: int) -> np.ndarray:
-    """Per-attribute ``(k, v)`` count frames as the stacked ``(ΣV, k)``."""
-    return np.concatenate([np.zeros((0, k)), *(c.T for c in counts)])
-
-
 # --------------------------------------------------------------------- #
 # Request encoding (driver side)                                          #
 # --------------------------------------------------------------------- #
@@ -241,8 +198,9 @@ def encode_score_request(
             np.asarray(stats["sum_sqnorm"]),
             np.asarray(stats["sizes_f"]),
         ]
-        for counts, h in zip(_split_counts(stats["counts"], sizes), stats["h"]):
-            frames.extend([counts, h])
+        cats = state.export_shard_inline(shard[:0])["cats"]
+        for _, _, _, counts, h, _ in split_categorical(cats, sizes):
+            frames.extend([counts, np.asarray(h)])
         frames.extend(np.asarray(d) for d in stats["num_d"])
         return encode_stream(frames, codec=codec)
 
@@ -264,7 +222,7 @@ def encode_score_request(
         np.asarray(inline["sum_sqnorm"]),
         np.asarray(inline["sizes_f"]),
     ]
-    for codes_b, p, p2, counts, h, norm in _split_cats(inline["cats"], sizes):
+    for codes_b, p, p2, counts, h, norm in split_categorical(inline["cats"], sizes):
         frames.extend(
             [
                 np.asarray(codes_b, dtype=np.int64),
@@ -491,7 +449,7 @@ class ShardScorer:
             if b and (codes_b.min() < 0 or codes_b.max() >= p.shape[0]):
                 raise ScoreFormatError(f"cat{i} codes out of range")
             cats.append((codes_b, p, float(cconsts[0]), counts, h, float(cconsts[1])))
-        cats = _stack_cats(cats, b, k)
+        cats = stack_categorical(cats, b, k)
         nums = []
         for i in range(n_nums):
             y = _f64(f"num{i}.y", frames[pos], 1)
@@ -554,8 +512,11 @@ class ShardScorer:
             for i, spec in enumerate(state.categorical_specs):
                 if counts[i].shape != (k, spec.n_values) or h[i].shape != (k,):
                     raise ScoreFormatError(f"cat{i} frames have inconsistent shapes")
-            stats["counts"] = _stack_counts(counts, k)
-            stats["h"] = np.array(h).reshape(-1, k)
+            # The state's own p, p2 and norm around the shipped counts and h.
+            sizes = [spec.n_values for spec in state.categorical_specs]
+            own = split_categorical(state.export_shard_inline(indices[:0])["cats"], sizes)
+            parts = [(*mine[:3], c, hh, mine[5]) for mine, c, hh in zip(own, counts, h)]
+            _, _, _, stats["counts"], stats["h"], _ = stack_categorical(parts, 0, k)
             state.install_scoring_stats(stats)
             state.labels[indices] = labels
             return state.batch_move_deltas(indices, lam)

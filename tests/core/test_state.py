@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import CategoricalSpec, NumericSpec
 from repro.core.objective import fairkm_objective, fairness_term, kmeans_term
-from repro.core.state import ClusterState
+from repro.core.state import ClusterState, split_categorical, stack_categorical
 from tests.conftest import random_specs
 
 
@@ -499,6 +499,15 @@ def test_stacked_kernels_match_per_attribute_oracle(seed, kinds, n_num, k, b):
             state.resync()
             oracle.resync()
             _assert_caches_equal(state, oracle)
+    # The per-attribute (wire) form of a shard is the oracle's, and stacks back.
+    stacked = state.export_shard_inline(indices)["cats"]
+    parts = split_categorical(stacked, [spec.n_values for spec in cats])
+    for (codes_b, p, p2, counts, h, norm), cat in zip(parts, oracle.cats, strict=True):
+        assert np.array_equal(codes_b, cat["codes"][indices]) and np.array_equal(p, cat["p"])
+        assert (p2, norm) == (cat["p2"], cat["norm"])
+        assert np.array_equal(counts, cat["counts"]) and np.array_equal(h, cat["h"])
+    for mine, theirs in zip(stack_categorical(parts, b, k), stacked, strict=True):
+        assert np.array_equal(mine, theirs)
 
 
 @pytest.mark.parametrize("b", [1, 3])

@@ -80,6 +80,20 @@ def test_artifact_request_scores_bit_identical_and_caches_state(tmp_path):
     assert scorer.scored["artifact"] == 2
 
 
+@pytest.mark.parametrize("with_cats", [True, False])
+def test_zero_row_request_scores_empty_in_both_modes(tmp_path, with_cats):
+    state = _state()
+    if not with_cats:
+        state = ClusterState(state.points, state.labels, state.k, None, state.numeric_specs)
+    name = publish_data_artifact(tmp_path, state)
+    scorer = ShardScorer(artifact_root=tmp_path)
+    shard = np.arange(0)
+    for artifact in (None, name):
+        frames, _ = decode_stream(encode_score_request(state, shard, 2.0, artifact=artifact))
+        deltas, _ = scorer.score(frames)
+        assert deltas.shape == (0, state.k)
+
+
 def test_response_round_trip_preserves_bits():
     deltas = np.random.default_rng(0).normal(size=(7, 3))
     payload = b"".join(encode_score_response(deltas, "identity"))
