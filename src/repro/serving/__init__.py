@@ -27,9 +27,10 @@ deployment only reads geometry):
   Both servers, the proxy and the client speak it for
   ``POST /assign`` streams.
 * :mod:`repro.serving.proxy` — :class:`FleetProxy`, the scatter-gather
-  front door: one port (TCP or Unix socket), streamed bodies dealt
-  across the workers while they upload, npy bodies split into balanced
-  row runs, failover past mid-restart workers, every response stamped
+  front door: one port (TCP or Unix socket), npy and streamed bodies
+  dealt to worker lanes by one dealer with one failover loop (streams
+  while they upload, a lane per 512 KiB; npy bodies as balanced row
+  runs, one lane each), every response stamped
   with worker id(s) + serving version, and the ``/admin/status`` /
   ``/admin/rollout`` control endpoints.
 * :mod:`repro.serving.client` — :class:`ServingClient`, a stdlib HTTP

@@ -3,23 +3,33 @@
 :class:`FleetProxy` puts one port in front of a
 :class:`~repro.serving.fleet.FleetSupervisor`'s worker processes:
 
-* streamed ``POST /assign`` bodies are **dealt while they upload**: the
-  proxy opens one lane per worker and forwards each request frame the
-  moment it arrives (oversized identity frames are resliced into
-  zero-copy row views first, so one giant frame still spreads), which
-  overlaps the client's upload with every worker's compute — the fleet
-  multiplies batch throughput instead of merely taking turns. Frames
-  are retained by reference only: a lane whose worker dies mid-stream
+* npy and streamed ``POST /assign`` bodies are **dealt** to worker
+  lanes. A lane is one streamed request to one worker, and every batch
+  goes through the same lane failover loop. There are two lane rules,
+  because only an npy body's length is known before dealing:
+
+  - a streamed body is dealt **while it uploads**: each request frame
+    is forwarded the moment it arrives (oversized identity frames are
+    resliced into zero-copy row views first, so one giant frame still
+    spreads), and a new lane opens only once every open lane holds
+    :data:`MIN_DEAL_BYTES`. The client's upload overlaps every worker's
+    compute, so the fleet multiplies batch throughput instead of
+    merely taking turns;
+  - an npy body has been read in full, so it is dealt as at most one
+    balanced contiguous run per worker, each of at least
+    :data:`MIN_SCATTER_ROWS` rows, every run on its own lane in frames
+    of at most ``DEFAULT_STREAM_CHUNK`` rows (fewer for rows so wide
+    that a frame would pass the wire's frame cap).
+
+  Frames are retained by reference only: a lane whose worker dies
   replays its frames to the next worker, and the gathered label frames
   are stitched back in deal order before the first response byte, so
-  the concatenation is exactly what a single worker would have
-  produced. Buffered npy bodies are split into contiguous balanced
-  row runs (``np.frombuffer`` views, never copied) instead. The
-  response names every worker that contributed
-  (``X-Fleet-Worker: 0,1,...``) plus the serving version; a version
-  skew across lanes (a rollout landing mid-scatter) is retried as a
-  buffered scatter and finally degrades to a single-worker run — one
-  response must never mix labels from two models;
+  the answer is exactly what a single worker would have produced. The
+  response names every worker that contributed (``X-Fleet-Worker:
+  0,1,...``) plus the serving version. A lane that runs out of workers,
+  or a version skew across lanes (a rollout landing mid-deal), re-deals
+  the batch on a fresh dealer and then on a single lane — one response
+  must never mix labels from two models;
 * JSON ``POST /assign``, ``GET /healthz`` and ``GET /model`` are
   forwarded round-robin; a worker that is mid-restart (connection
   refused / dropped) is skipped and the request transparently retried
@@ -38,7 +48,7 @@ Failover leans on :class:`~repro.serving.client.ServingClient`'s
 transparent reconnect: a stale keep-alive to a restarted worker is
 retried once on a fresh connection, and only a genuinely unreachable
 worker (:class:`~repro.serving.client.ServingUnavailableError`) moves
-the request (or the scattered run) to the next one.
+the request (or the dealt lane) to the next one.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ from ..obs import prometheus as obs_prometheus
 from ..obs.trace import TRACE_HEADER, PARENT_HEADER, TraceSink, get_sink, start_span
 from . import wire
 from .client import (
+    DEFAULT_STREAM_CHUNK,
     ServingClient,
     ServingClientError,
     ServingTimeoutError,
@@ -254,7 +265,7 @@ class FleetProxy(ConnectionTrackingServer):
     def lease_client(self, url: str) -> ServingClient:
         """Check a keep-alive client out of the scatter pool.
 
-        Scatter runs execute on short-lived executor threads, so a
+        Lanes execute on short-lived executor threads, so a
         thread-local cache would reconnect on every request; a shared
         pool keyed by worker url keeps the connections warm instead.
         """
@@ -308,22 +319,13 @@ class FleetProxy(ConnectionTrackingServer):
         return obs_prometheus.merge_scrapes(scrapes)
 
 
-def _split_runs(count: int, ways: int) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into up to *ways* contiguous, balanced runs."""
-    ways = max(1, min(ways, count)) if count else 1
-    base, extra = divmod(count, ways)
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for i in range(ways):
-        stop = start + base + (1 if i < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
+#: One gathered lane: ``(worker, version, codec, distances, payloads)``.
+_LaneResult = tuple[int, str, str, bool, list[bytes]]
 
 
 class _ScatterSkew(Exception):
     """Lanes answered with different serving versions (rollout landed
-    mid-deal); the caller replays the batch as a buffered scatter."""
+    mid-deal); the caller re-deals the batch."""
 
 
 class _InjectedDisconnect(ConnectionError):
@@ -371,15 +373,23 @@ class _ReplaySource:
 
 
 class _Dealer:
-    """Deal request frames to worker lanes while the client uploads.
+    """Deal one ``/assign`` batch to worker lanes; gather the lanes.
 
-    One lane per worker, opened lazily: a new lane starts only when
-    every open lane already holds :data:`MIN_DEAL_BYTES`, so small
-    streams stay on one worker (the extra HTTP round trips would cost
-    more than the parallelism saves). Oversized identity frames are
-    resliced into zero-copy row views first so one giant frame still
-    spreads. ``finish()`` gathers every lane and raises
-    :class:`_ScatterSkew` if a rollout split the lanes across versions.
+    A lane is one streamed request to one worker, and its failover loop
+    (:meth:`_run_lane`) is the proxy's only one. There are two lane
+    rules, because only an npy body's length is known up front:
+
+    * :meth:`deal` forwards stream frames as the client uploads them.
+      Lanes open lazily: a new lane starts only when every open lane
+      already holds :data:`MIN_DEAL_BYTES`, so small streams stay on one
+      worker (the extra HTTP round trips would cost more than the
+      parallelism saves). Oversized identity frames are resliced into
+      zero-copy row views first so one giant frame still spreads.
+    * :meth:`deal_rows` splits a fully read matrix into balanced
+      contiguous runs, one lane each.
+
+    ``finish()`` gathers every lane and raises :class:`_ScatterSkew` if
+    a rollout split the lanes across versions.
     """
 
     def __init__(self, server: FleetProxy) -> None:
@@ -391,15 +401,11 @@ class _Dealer:
         self._trace_id: str | None = None
         self._parent_id: str | None = None
         self._targets: list[tuple[int, str]] = []
+        self._lanes = 0
         self._sources: list[_ReplaySource] = []
         self._futures: list[Any] = []
         self._bytes: list[int] = []
         self._order: list[int] = []
-
-    @property
-    def order(self) -> list[int]:
-        """Lane index per dealt item, in deal order."""
-        return self._order
 
     def open(
         self,
@@ -410,7 +416,10 @@ class _Dealer:
         deadline: Deadline | None = None,
         trace_id: str | None = None,
         parent_id: str | None = None,
+        lanes: int | None = None,
     ) -> None:
+        """Fix the lanes' stream settings and target order; *lanes* caps
+        the lane count (default: one per worker)."""
         self._codec = codec
         self._accept = accept
         self._distances = distances
@@ -424,6 +433,21 @@ class _Dealer:
                 "no reachable fleet worker",
                 retry_after_s=self._server.breaker_reset_s,
             )
+        self._lanes = min(len(self._targets), lanes or len(self._targets))
+
+    def fresh(self, *, lanes: int | None) -> "_Dealer":
+        """A new dealer opened like this one, to re-deal the batch."""
+        dealer = _Dealer(self._server)
+        dealer.open(
+            codec=self._codec,
+            accept=self._accept,
+            distances=self._distances,
+            deadline=self._deadline,
+            trace_id=self._trace_id,
+            parent_id=self._parent_id,
+            lanes=lanes,
+        )
+        return dealer
 
     def deal(self, payload: bytes) -> None:
         """Forward one request frame to a lane (reslicing if oversized)."""
@@ -441,19 +465,36 @@ class _Dealer:
                 return
         self._deal_item(payload)
 
+    def deal_rows(self, points: np.ndarray) -> None:
+        """Deal a fully read C-order matrix as balanced contiguous runs.
+
+        At most one run per lane, each of at least
+        :data:`MIN_SCATTER_ROWS` rows: a scattered 100-row request would
+        pay a round trip on every worker for no win. Each run goes on its
+        own lane in frames of at most ``DEFAULT_STREAM_CHUNK`` rows, and
+        fewer when wide rows would push a frame past the wire's frame cap.
+        """
+        ways = min(self._lanes, max(1, points.shape[0] // MIN_SCATTER_ROWS))
+        room = wire.MAX_FRAME_BYTES - len(wire.npy_header_bytes(points))
+        row_bytes = max(1, points.itemsize * points.shape[1])
+        step = max(1, min(DEFAULT_STREAM_CHUNK, room // row_bytes))
+        for run in np.array_split(points, ways):
+            lane = self._open_lane()
+            for start in range(0, run.shape[0], step):
+                self._put(lane, run[start : start + step])
+
     def _deal_item(self, item: Any) -> None:
-        size = item.nbytes if isinstance(item, np.ndarray) else len(item)
         if self._bytes:
             lane = min(range(len(self._bytes)), key=self._bytes.__getitem__)
-            if (
-                len(self._sources) < len(self._targets)
-                and self._bytes[lane] >= MIN_DEAL_BYTES
-            ):
+            if len(self._sources) < self._lanes and self._bytes[lane] >= MIN_DEAL_BYTES:
                 lane = self._open_lane()
         else:
             lane = self._open_lane()
+        self._put(lane, item)
+
+    def _put(self, lane: int, item: Any) -> None:
         self._sources[lane].put(item)
-        self._bytes[lane] += size
+        self._bytes[lane] += item.nbytes if isinstance(item, np.ndarray) else len(item)
         self._order.append(lane)
 
     def _open_lane(self) -> int:
@@ -470,7 +511,7 @@ class _Dealer:
 
     def _run_lane(
         self, lane: int, source: _ReplaySource, targets: list[tuple[int, str]]
-    ) -> tuple[int, str, str, bool, list[bytes]]:
+    ) -> _LaneResult:
         injector = self._server.fault_injector
         site = f"proxy.lane{lane}.frame"
 
@@ -581,7 +622,7 @@ class _Dealer:
         for source in self._sources:
             source.close()
 
-    def finish(self) -> tuple[list[tuple[int, str, str, bool, list[bytes]]], list[int]]:
+    def finish(self) -> tuple[list[_LaneResult], list[int]]:
         """Close the lanes and gather ``(results, deal_order)``.
 
         An empty stream still opens one lane so the response carries a
@@ -592,13 +633,16 @@ class _Dealer:
         for source in self._sources:
             source.close()
         results = [future.result() for future in self._futures]
-        if len({result[1] for result in results}) > 1:
-            raise _ScatterSkew()
+        versions = {result[1] for result in results}
+        if len(versions) > 1:
+            raise _ScatterSkew(
+                f"fleet version skew during scatter ({sorted(versions)}); retry"
+            )
         return results, self._order
 
 
 def _dealt_payloads(
-    results: list[tuple[int, str, str, bool, list[bytes]]], order: list[int]
+    results: list[_LaneResult], order: list[int]
 ) -> list[tuple[bytes, str]]:
     """Stitch lane responses back into deal order.
 
@@ -918,11 +962,8 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         Each frame is forwarded to a worker lane the moment it arrives,
         so every worker's compute overlaps the client's upload — the
         pipelining that makes the fleet a multiplier rather than a
-        buffered double-hop. Frames are retained by reference for two
-        rare paths only: a lane whose worker dies replays them to the
-        next worker, and a version skew across lanes (rollout landing
-        mid-scatter) re-runs the whole batch as a buffered scatter,
-        degrading to a single worker if the fleet is still mid-move.
+        buffered double-hop. Frames are retained by reference for the
+        rare re-deal (see :meth:`_gather`).
         """
         body = self._stream_body_reader()
         dealer = _Dealer(self.server)
@@ -951,40 +992,11 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
             raise
         self._drain_body(body)
 
-        try:
-            results, order = dealer.finish()
-            pairs = _dealt_payloads(results, order)
-        except (ServingUnavailableError, _ScatterSkew):
-            # Rare path: a lane ran out of workers, or a rollout split
-            # the lanes across versions. Replay the (referenced) frames
-            # as a buffered contiguous scatter, which retries and then
-            # degrades to a single worker.
-            gathered = self._scatter(
-                len(frames),
-                lambda span, targets: self._relay_run(
-                    frames[span[0] : span[1]],
-                    targets,
-                    codec=reader.codec,
-                    accept=reader.accept,
-                    distances=reader.distances,
-                    deadline=deadline,
-                ),
-            )
-            results = gathered
-            pairs = [
-                (payload, run_codec)
-                for _, _, run_codec, _, payloads in gathered
-                for payload in payloads
-            ]
-        except ServingTimeoutError as exc:
-            raise ServingError(504, str(exc)) from exc
-        except ServingClientError as exc:
-            raise ServingError(exc.status, str(exc)) from exc
+        def redeal(fresh: _Dealer) -> None:
+            for payload in frames:
+                fresh.deal(payload)
 
-        version = results[0][1]
-        workers = ",".join(
-            dict.fromkeys(str(result[0]) for result in results)
-        )
+        results, pairs = self._gather(dealer, redeal)
         # One stream, one codec: recode stragglers to the first lane's
         # codec (identical negotiation makes this a no-op in practice).
         response_codec = results[0][2]
@@ -992,8 +1004,8 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", STREAM_CONTENT_TYPE)
         self.send_header("Transfer-Encoding", "chunked")
-        self.send_header(VERSION_HEADER, version)
-        self.send_header(WORKER_HEADER, workers)
+        self.send_header(VERSION_HEADER, results[0][1])
+        self.send_header(WORKER_HEADER, _workers(results))
         self.end_headers()
         writer = _HTTPChunkWriter(self.wfile)
         writer.write(
@@ -1009,7 +1021,7 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         writer.close()
 
     def _scatter_npy(self, deadline: Deadline | None = None) -> None:
-        """Scatter one npy body by row spans; gather one npy response."""
+        """Deal one npy body as balanced row runs; gather one npy response."""
         raw = self._read_body()
         try:
             points = wire.decode_npy(raw)  # zero-copy row views
@@ -1017,217 +1029,68 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
             raise ServingError(400, f"invalid npy payload: {exc}") from None
         if points.ndim != 2:
             raise ServingError(400, f"points must be 2-D, got shape {points.shape}")
-
-        # Tiny batches stay on one worker: a scattered 100-row request
-        # would pay per-run HTTP overhead on every worker for no win.
-        gathered = self._scatter(
-            points.shape[0],
-            lambda span, targets: self._assign_run(
-                points[span[0] : span[1]], targets, deadline=deadline
-            ),
-            max_ways=max(1, points.shape[0] // MIN_SCATTER_ROWS),
+        # Workers score float64 rows: a float32, integer or Fortran-order
+        # body is converted once here (a C-order float64 body is not copied).
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        dealer = _Dealer(self.server)
+        dealer.open(
+            codec="identity",
+            accept=None,
+            distances=False,
+            deadline=deadline,
+            trace_id=getattr(self, "_trace_id", None),
+            parent_id=getattr(self, "_parent_span", None),
         )
-        version = gathered[0][1]
-        workers = ",".join(str(result[0]) for result in gathered)
-        labels = np.concatenate([result[2] for result in gathered])
+        dealer.deal_rows(points)
+        results, pairs = self._gather(dealer, lambda fresh: fresh.deal_rows(points))
+        labels = [wire.decode_npy(payload) for payload, _ in pairs]
         out = io.BytesIO()
-        np.save(out, labels, allow_pickle=False)
+        np.save(
+            out,
+            np.concatenate(labels) if labels else np.empty(0, dtype=np.int64),
+            allow_pickle=False,
+        )
         self._send(
             200,
             out.getvalue(),
             NPY_CONTENT_TYPE,
-            {VERSION_HEADER: version, WORKER_HEADER: workers},
+            {VERSION_HEADER: results[0][1], WORKER_HEADER: _workers(results)},
         )
 
-    def _scatter(
-        self, count: int, run_one: Any, *, max_ways: int | None = None
-    ) -> list[tuple]:
-        """Dispatch contiguous runs concurrently; gather in order.
+    def _gather(
+        self, dealer: _Dealer, deal: Any
+    ) -> tuple[list[_LaneResult], list[tuple[bytes, str]]]:
+        """Gather a dealt batch as ``(lane_results, payloads_in_deal_order)``.
 
-        ``run_one(span, targets)`` executes one run against a rotated
-        target list and returns a tuple starting ``(worker_index,
-        version, ...)``. The gather is complete before any response
-        byte is written, which keeps failover simple: a failed run
-        retries on the next worker without the client seeing a partial
-        response. A version skew across runs (rollout mid-scatter) is
-        retried once against the post-rollout fleet; if the fleet is
-        still mid-move the batch degrades to a single-worker run — one
-        response must never mix two models' labels, but a rollout in
-        flight must not turn into client-visible 503s either.
+        A lane that ran out of workers, or lanes split across versions
+        by a rollout landing mid-deal, re-deal the retained batch
+        (``deal(fresh_dealer)``) on a fresh dealer against the
+        post-rollout fleet, then on a single lane: one worker can only
+        answer with one version, and one response must never mix two
+        models' labels. The gather completes before any response byte
+        is written, so a failure never leaves a partial response.
         """
-        versions: set[str] = set()
-        for attempt in (0, 1, 2):
-            targets = self.server.target_order()
-            if not targets:
-                raise ServingError(
-                    503,
-                    "no reachable fleet worker",
-                    retry_after_s=self.server.breaker_reset_s,
-                )
-            ways = len(targets) if attempt < 2 else 1
-            if max_ways is not None:
-                ways = min(ways, max(1, max_ways))
-            spans = _split_runs(count, ways)
-            rotations = [
-                targets[i % len(targets) :] + targets[: i % len(targets)]
-                for i in range(len(spans))
-            ]
+        redeals = [None, 1]  # lane caps: every worker, then one
+        while True:
             try:
-                if len(spans) == 1:
-                    gathered = [run_one(spans[0], rotations[0])]
-                else:
-                    gathered = list(
-                        self.server._scatter_pool.map(run_one, spans, rotations)
-                    )
-            except ServingUnavailableError as exc:
-                raise ServingError(503, str(exc)) from exc
+                results, order = dealer.finish()
+                return results, _dealt_payloads(results, order)
+            except (ServingUnavailableError, _ScatterSkew) as exc:
+                if not redeals:
+                    raise ServingError(
+                        503, str(exc), retry_after_s=self.server.breaker_reset_s
+                    ) from exc
+                dealer = dealer.fresh(lanes=redeals.pop(0))
+                deal(dealer)
             except ServingTimeoutError as exc:
                 raise ServingError(504, str(exc)) from exc
             except ServingClientError as exc:
                 raise ServingError(exc.status, str(exc)) from exc
-            versions = {result[1] for result in gathered}
-            if len(versions) == 1:
-                return gathered
-            # A rollout landed mid-scatter: retry once against the
-            # post-rollout fleet, then fall back to a single run (a
-            # single worker can only answer with a single version).
-        raise ServingError(
-            503,
-            f"fleet version skew during scatter ({sorted(versions)}); retry",
-            retry_after_s=self.server.breaker_reset_s,
-        )
 
-    def _relay_run(
-        self,
-        frames: list[bytes],
-        targets: list[tuple[int, str]],
-        *,
-        codec: str,
-        accept: str | None,
-        distances: bool,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, str, bool, list[bytes]]:
-        """One frame-relay run with failover; returns
-        ``(worker, version, response_codec, distances, payloads)``."""
 
-        def body() -> Any:
-            def pieces() -> Any:
-                yield wire.encode_header(codec, accept=accept, distances=distances)
-                for payload in frames:
-                    yield wire.frame_payload(payload)
-                yield wire.terminator()
-
-            return pieces()
-
-        return self._run_with_failover(body, targets, deadline=deadline)
-
-    def _run_with_failover(
-        self,
-        body: Any,
-        targets: list[tuple[int, str]],
-        *,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, str, bool, list[bytes]]:
-        last_error: Exception | None = None
-        breakers = self.server.breakers
-        for attempt, (index, url) in enumerate(targets):
-            if deadline is not None and deadline.expired:
-                raise ServingTimeoutError(
-                    "request deadline exhausted during scatter failover"
-                )
-            headers: dict[str, str] = {}
-            if deadline is not None:
-                headers[DEADLINE_HEADER] = deadline.header_value()
-            span = self._hop_span("proxy.lane")
-            if span is not None:
-                span.set(worker=index, replay=attempt > 0)
-            self._trace_headers(headers, span)
-            client = self.server.lease_client(url)
-            try:
-                version, response_codec, response_distances, payloads = (
-                    _stream_exchange(
-                        client, body, headers=headers or None, deadline=deadline
-                    )
-                )
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                last_error = exc
-                continue  # worker mid-restart: try the next one
-            except ServingTimeoutError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if span is not None:
-                    span.finish(error=type(exc).__name__)
-                raise
-            finally:
-                self.server.release_client(url, client)
-            breakers.success(url)
-            self.server._m_lane_requests.labels(target=str(index)).inc()
-            if span is not None:
-                span.finish(codec=response_codec, version=version)
-            return index, version, response_codec, response_distances, payloads
-        raise ServingUnavailableError(
-            f"no reachable fleet worker for scattered run: {last_error}"
-        )
-
-    def _assign_run(
-        self,
-        span_points: np.ndarray,
-        targets: list[tuple[int, str]],
-        *,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, str, np.ndarray]:
-        """One npy run via the streamed client; returns
-        ``(worker, version, labels)``."""
-        last_error: Exception | None = None
-        breakers = self.server.breakers
-        for attempt, (index, url) in enumerate(targets):
-            if deadline is not None and deadline.expired:
-                raise ServingTimeoutError(
-                    "request deadline exhausted during scatter failover"
-                )
-            hop_span = self._hop_span("proxy.lane")
-            if hop_span is not None:
-                hop_span.set(
-                    worker=index, replay=attempt > 0, rows=int(span_points.shape[0])
-                )
-            request_headers: dict[str, str] = {}
-            self._trace_headers(request_headers, hop_span)
-            client = self.server.lease_client(url)
-            try:
-                response = client.assign_stream(
-                    span_points,
-                    deadline_ms=(
-                        deadline.remaining_ms() if deadline is not None else None
-                    ),
-                    headers=request_headers or None,
-                )
-            except ServingUnavailableError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if hop_span is not None:
-                    hop_span.finish(error=type(exc).__name__)
-                last_error = exc
-                continue
-            except ServingTimeoutError as exc:
-                breakers.failure(url)
-                self.server._m_lane_failures.labels(target=str(index)).inc()
-                if hop_span is not None:
-                    hop_span.finish(error=type(exc).__name__)
-                raise
-            finally:
-                self.server.release_client(url, client)
-            breakers.success(url)
-            self.server._m_lane_requests.labels(target=str(index)).inc()
-            if hop_span is not None:
-                hop_span.finish(version=response.version)
-            return index, response.version, response.labels
-        raise ServingUnavailableError(
-            f"no reachable fleet worker for scattered run: {last_error}"
-        )
+def _workers(results: list[_LaneResult]) -> str:
+    """``X-Fleet-Worker`` value: every contributing worker, once each."""
+    return ",".join(dict.fromkeys(str(result[0]) for result in results))
 
 
 def _stream_exchange(

@@ -124,6 +124,8 @@ def _f64(name: str, frame: np.ndarray, ndim: int) -> np.ndarray:
         raise ScoreFormatError(
             f"frame {name!r} must be {ndim}-D float64, got {frame.dtype} {frame.shape}"
         )
+    if not np.isfinite(frame).all():
+        raise ScoreFormatError(f"frame {name!r} holds non-finite values")
     return frame
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -10,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serving.proxy as proxy_module
 from repro.api import ClusterModel, RunConfig
 from repro.serving import (
     FleetProxy,
@@ -18,8 +20,9 @@ from repro.serving import (
     ServingClient,
     ServingClientError,
 )
+from repro.serving import wire
 from repro.serving.proxy import WORKER_HEADER
-from repro.serving.server import VERSION_HEADER
+from repro.serving.server import NPY_CONTENT_TYPE, VERSION_HEADER
 
 D = 4
 
@@ -142,3 +145,56 @@ def test_non_finite_points_through_proxy_are_400(fleet):
                 assert excinfo.value.status == 400
         response = client.assign(probe, npy=True)
         np.testing.assert_array_equal(response.labels, model.predict(probe))
+
+
+def _npy_bytes(array):
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("edge", ["empty", "float32", "int64", "fortran"])
+def test_npy_edge_bodies_match_predict(fleet, monkeypatch, edge, split):
+    """Zero-row, float32, int64 and Fortran-order npy bodies come back
+    as int64 labels equal to in-process predict, on one lane or two."""
+    _, proxy, _, model, _, probe = fleet
+    if split:
+        monkeypatch.setattr(proxy_module, "MIN_SCATTER_ROWS", 1)
+    points = {
+        "empty": np.zeros((0, D)),
+        "float32": probe.astype(np.float32),
+        "int64": np.rint(probe * 3).astype(np.int64),
+        "fortran": np.asfortranarray(probe),
+    }[edge]
+    with ServingClient(url=proxy.url) as client:
+        status, headers, payload = client.request_raw(
+            "POST", "/assign", _npy_bytes(points), NPY_CONTENT_TYPE
+        )
+    assert status == 200
+    labels = wire.decode_npy(payload)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, model.predict(points))
+    if split and edge != "empty":
+        assert headers[WORKER_HEADER] in {"0,1", "1,0"}
+
+
+@pytest.mark.slow
+def test_wide_npy_body_is_framed_under_the_frame_cap(tmp_path):
+    """8,192 rows of 1,100 float64 columns would be one 72 MB frame,
+    over the wire's 64 MiB frame cap: the proxy deals it in smaller
+    frames, and the answer matches a direct worker's."""
+    rng = np.random.default_rng(11)
+    wide = 1100
+    model = ClusterModel(
+        rng.normal(size=(3, wide)), RunConfig(method="kmeans", k=3)
+    )
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(model, label="wide")
+    points = rng.normal(size=(8192, wide))
+    assert points.nbytes > wire.MAX_FRAME_BYTES
+    with FleetSupervisor(registry, workers=1, heartbeat_s=60.0) as supervisor:
+        with FleetProxy(supervisor) as proxy:
+            with ServingClient(url=proxy.url, timeout=120.0) as client:
+                response = client.assign(points, npy=True)
+    np.testing.assert_array_equal(response.labels, model.predict(points))

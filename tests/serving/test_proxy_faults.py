@@ -1,11 +1,15 @@
-"""Injected proxy faults: dead-lane replay and version-skew fallback.
+"""Injected proxy faults: dead-lane replay and version-skew re-deal.
 
-Every fault offset must yield either a bit-identical answer (replayed
-on a survivor, or degraded to a buffered scatter) or a typed error —
-never a silently wrong or partial response.
+npy and streamed bodies go through the same dealer, so every fault is
+injected into both. Every fault offset must yield either a
+bit-identical answer (replayed on a survivor, or re-dealt) or a typed
+error — never a silently wrong or partial response.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from repro.serving.proxy import WORKER_HEADER
 
 D = 4
 ROWS, CHUNK = 40, 8
-N_FRAMES = ROWS // CHUNK  # 5 dealt frames per streamed request
+N_FRAMES = ROWS // CHUNK  # 5 dealt frames per request
+BODIES = ("stream", "npy")
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +45,37 @@ def fleet(tmp_path_factory):
         yield supervisor, model, version, probe
 
 
+@contextlib.contextmanager
+def _dealt(*, spread=False):
+    """Deal every request as frames of CHUNK rows; with *spread*, over
+    both lanes (a stream opens its second lane at once, an npy body is
+    split into two runs)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proxy_module, "DEFAULT_STREAM_CHUNK", CHUNK)
+        if spread:
+            patch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
+            patch.setattr(proxy_module, "MIN_SCATTER_ROWS", 1)
+        yield
+
+
+def _assign(client, body, points):
+    if body == "npy":
+        return client.assign(points, npy=True)
+    return client.assign_stream(points, chunk_size=CHUNK)
+
+
+def _total(proxy, name):
+    """Sum over every series of the proxy's counter *name*."""
+    (family,) = [f for f in proxy.metrics.collect() if f["name"] == name]
+    return sum(series["value"] for series in family["series"])
+
+
+def _npy_bytes(array):
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
 def _all_offsets(func):
     """Guarantee hypothesis visits *every* frame boundary at least once."""
     for offset in range(N_FRAMES):
@@ -47,6 +83,7 @@ def _all_offsets(func):
     return func
 
 
+@pytest.mark.parametrize("body", BODIES)
 @_all_offsets
 @given(offset=st.integers(min_value=0, max_value=N_FRAMES - 1))
 @settings(
@@ -54,18 +91,19 @@ def _all_offsets(func):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_dead_lane_replays_on_survivor_at_every_frame_boundary(fleet, offset):
-    """A lane whose worker 'dies' mid-stream at frame *offset* replays
+def test_dead_lane_replays_on_survivor_at_every_frame_boundary(fleet, body, offset):
+    """A lane whose worker 'dies' mid-request at frame *offset* replays
     its dealt frames on the surviving worker, bit-identically."""
     supervisor, model, version, probe = fleet
     plan = FaultPlan(
         [FaultEvent(site="proxy.lane0.frame", at=offset, kind="disconnect")]
     )
-    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+    with _dealt(), FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
         with ServingClient(url=proxy.url) as client:
-            response = client.assign_stream(probe, chunk_size=CHUNK)
+            response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             assert response.version == version
+            assert _total(proxy, "repro_proxy_lane_replays_total") >= 1
             # The poisoned worker url stays dead for the injector, so
             # the lane must have completed on the *other* worker.
             status, headers, _ = client.request_raw(
@@ -73,14 +111,6 @@ def test_dead_lane_replays_on_survivor_at_every_frame_boundary(fleet, offset):
             )
             assert status == 200
             assert headers[WORKER_HEADER] in {"0", "1"}
-
-
-def _npy_bytes(array):
-    import io
-
-    out = io.BytesIO()
-    np.save(out, array, allow_pickle=False)
-    return out.getvalue()
 
 
 def test_dead_lane_replay_with_distances(fleet):
@@ -100,31 +130,36 @@ def test_dead_lane_replay_with_distances(fleet):
             np.testing.assert_array_equal(response.distances, expected_distances)
 
 
-def test_version_skew_degrades_to_buffered_scatter(fleet, monkeypatch):
-    """Lanes that disagree on the serving version (rollout mid-scatter)
-    are re-run as a buffered scatter; the answer stays bit-identical."""
+@pytest.mark.parametrize("body", BODIES)
+def test_version_skew_redeals_bit_identically(fleet, body):
+    """Lanes that disagree on the serving version (rollout mid-deal)
+    are re-dealt on a fresh dealer; the answer stays bit-identical."""
     supervisor, model, version, probe = fleet
-    # Open a second lane immediately so the stream really spans lanes.
-    monkeypatch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
-    plan = FaultPlan([FaultEvent(site="proxy.lane.version", at=0, kind="skew")])
-    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+    injector = FaultInjector(
+        FaultPlan([FaultEvent(site="proxy.lane.version", at=0, kind="skew")])
+    )
+    with _dealt(spread=True), FleetProxy(supervisor, fault_injector=injector) as proxy:
         with ServingClient(url=proxy.url) as client:
-            response = client.assign_stream(probe, chunk_size=CHUNK)
+            response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             # The client-visible version is the clean one, never the
             # skew-tagged lane answer.
             assert response.version == version
+            # Two lanes were skewed, then two lanes re-dealt the batch.
+            assert injector.count("proxy.lane.version") == 4
+            assert _total(proxy, "repro_proxy_lane_requests_total") == 4
 
 
-def test_multi_lane_disconnect_still_bit_identical(fleet, monkeypatch):
+@pytest.mark.parametrize("body", BODIES)
+def test_multi_lane_disconnect_still_bit_identical(fleet, body):
     """Disconnect with two live lanes: only the poisoned lane replays."""
     supervisor, model, version, probe = fleet
-    monkeypatch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
     plan = FaultPlan(
         [FaultEvent(site="proxy.lane1.frame", at=1, kind="disconnect")]
     )
-    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+    with _dealt(spread=True), FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
         with ServingClient(url=proxy.url) as client:
-            response = client.assign_stream(probe, chunk_size=CHUNK)
+            response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             assert response.version == version
+            assert _total(proxy, "repro_proxy_lane_replays_total") == 1

@@ -14,8 +14,10 @@ import re
 import numpy as np
 import pytest
 
+from repro.api import ClusterModel, RunConfig
 from repro.core import CategoricalSpec, NumericSpec
 from repro.core.state import ClusterState
+from repro.serving.registry import ModelRegistry
 from repro.serving.score import (
     ScoreFormatError,
     ShardScorer,
@@ -25,7 +27,7 @@ from repro.serving.score import (
     publish_data_artifact,
     request_frame_count,
 )
-from repro.serving.wire import decode_stream
+from repro.serving.wire import decode_stream, encode_stream
 
 
 def _state(n=120, dim=4, k=3, seed=0):
@@ -125,3 +127,63 @@ def test_unknown_artifact_is_a_typed_error(tmp_path):
     frames, _ = decode_stream(payload)
     with pytest.raises(ScoreFormatError):
         ShardScorer(artifact_root=tmp_path).score(frames)
+
+
+def _poisoned(frames, index, value, at):
+    """*frames* with one element of frame *index* replaced by *value*."""
+    frames = list(frames)
+    frames[index] = frames[index].copy()
+    frames[index][at] = value
+    return frames
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inline_point_is_a_typed_error(bad):
+    state = _state()
+    frames, _ = decode_stream(encode_score_request(state, np.arange(10), 2.0))
+    # Frame 2 is the shard's points: one bad coordinate in one of ten rows.
+    frames = _poisoned(frames, 2, bad, (3, 1))
+    with pytest.raises(ScoreFormatError, match="non-finite"):
+        ShardScorer().score(frames)
+
+
+@pytest.mark.parametrize("mode, sums_frame", [("inline", 5), ("artifact", 4)])
+def test_non_finite_statistics_are_a_typed_error_in_both_modes(
+    tmp_path, mode, sums_frame
+):
+    state = _state()
+    name = publish_data_artifact(tmp_path, state) if mode == "artifact" else None
+    scorer = ShardScorer(artifact_root=tmp_path)
+    frames, _ = decode_stream(
+        encode_score_request(state, np.arange(10), 2.0, artifact=name)
+    )
+    with pytest.raises(ScoreFormatError, match="non-finite"):
+        scorer.score(_poisoned(frames, sums_frame, np.nan, (0, 0)))
+    with pytest.raises(ScoreFormatError, match="non-finite"):
+        scorer.score(_poisoned(frames, 1, np.inf, 0))  # lambda
+    # The clean request still scores.
+    deltas, _ = scorer.score(frames)
+    assert np.array_equal(deltas, state.batch_move_deltas(np.arange(10), 2.0))
+
+
+def test_http_score_with_non_finite_point_is_400(tmp_path):
+    from repro.serving.client import ServingClient
+    from repro.serving.server import STREAM_CONTENT_TYPE, AssignmentServer
+
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(
+        ClusterModel(np.zeros((2, 3)), RunConfig(method="kmeans", k=2)), label="s"
+    )
+    frames, _ = decode_stream(encode_score_request(_state(), np.arange(10), 2.0))
+    body = encode_stream(_poisoned(frames, 2, np.nan, (0, 0)))
+    with AssignmentServer(registry=registry) as server:
+        with ServingClient(url=server.url) as client:
+            status, _, payload = client.request_raw(
+                "POST", "/score", body, STREAM_CONTENT_TYPE
+            )
+            assert status == 400
+            assert b"non-finite" in payload
+            status, _, _ = client.request_raw(
+                "POST", "/score", encode_stream(frames), STREAM_CONTENT_TYPE
+            )
+            assert status == 200

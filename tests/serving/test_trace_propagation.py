@@ -66,7 +66,12 @@ def test_one_trace_spans_scatter_gather_with_dead_lane_replay(traced_fleet):
             response = client.assign_stream(probe, chunk_size=CHUNK)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             trace_id = client.last_trace_id
+            # An npy body of the same rows is dealt by the same dealer.
+            response = client.assign(probe, npy=True)
+            np.testing.assert_array_equal(response.labels, model.predict(probe))
+            npy_trace_id = client.last_trace_id
     assert trace_id and len(trace_id) == 32
+    assert npy_trace_id and npy_trace_id != trace_id
 
     def spans_settled():
         spans = [s for s in load_spans(sink_path) if s.trace_id == trace_id]
@@ -123,6 +128,19 @@ def test_one_trace_spans_scatter_gather_with_dead_lane_replay(traced_fleet):
                  "server.assign"):
         assert name in text
     assert "replay=True" in text
+
+    # The npy request: ingress mode=npy, its two row runs on two lanes,
+    # both hanging off the ingress span.
+    def npy_settled():
+        spans = [s for s in load_spans(sink_path) if s.trace_id == npy_trace_id]
+        return spans if any(s.name == "proxy.assign" for s in spans) else None
+
+    npy_spans = _wait_for(npy_settled)
+    (npy_ingress,) = [s for s in npy_spans if s.name == "proxy.assign"]
+    assert npy_ingress.attrs["mode"] == "npy"
+    npy_lanes = [s for s in npy_spans if s.name == "proxy.lane"]
+    assert len({lane.attrs.get("lane") for lane in npy_lanes}) == 2
+    assert all(lane.parent_id == npy_ingress.span_id for lane in npy_lanes)
 
 
 def test_caller_supplied_trace_id_is_honored_and_echoed(traced_fleet):
