@@ -48,12 +48,6 @@ def test_move_deltas_batch_rows(benchmark, state, rows):
     benchmark(state.batch_move_deltas, np.arange(rows), 1e6)
 
 
-@pytest.mark.parametrize("rows", [8, 64, 256])
-def test_move_deltas_cols2(benchmark, state, rows):
-    """The chunked sweep's repair primitive: two columns per pending row."""
-    benchmark(state.batch_move_deltas_cols, np.arange(rows), np.array([1, 5]), 1e6)
-
-
 @pytest.fixture(scope="module", params=[5, 20])
 def repair_state(request) -> ClusterState:
     """Adult's shape (d=28, five attributes) at k=5 and k=20."""
@@ -66,14 +60,10 @@ def repair_state(request) -> ClusterState:
 
 
 @pytest.mark.parametrize("rows", [8, 64, 256])
-@pytest.mark.parametrize("kernel", ["full_row", "two_columns"])
-def test_repair_crossover(benchmark, repair_state, kernel, rows):
-    """Two-column repair against rescoring the whole row, per k and rows."""
-    indices = np.arange(rows)
-    if kernel == "full_row":
-        benchmark(repair_state.batch_move_deltas, indices, 1e6)
-    else:
-        benchmark(repair_state.batch_move_deltas_cols, indices, np.array([1, 3]), 1e6)
+def test_repair_rows(benchmark, repair_state, rows):
+    """The chunked sweep's repair call: one full-row rescoring of the
+    rows still pending in a window, per k and pending rows."""
+    benchmark(repair_state.batch_move_deltas, np.arange(rows), 1e6)
 
 
 def test_apply_move_roundtrip(benchmark, state):

@@ -124,53 +124,49 @@ def _resolve_backend(backend, workers: int):
 class ChunkedSweep(SweepStrategy):
     """Vectorized chunked-exact sweep.
 
-    Objects are scored a chunk at a time with ``batch_move_deltas``
+    Objects are scored a window at a time with ``batch_move_deltas``
     (frozen statistics), then scanned in visit order. Until a move is
     accepted, the frozen scores equal what ``move_deltas`` would have
     returned — the statistics have not changed — so non-movers are
-    dispatched purely vectorized. An accepted move (source → target)
-    perturbs exactly two clusters' statistics, so the frozen rows of the
-    objects still pending are repaired surgically: objects whose own
-    cluster was touched get their full row re-scored, every other
-    pending row only has its *source* and *target* columns recomputed
-    (:meth:`~repro.core.state.ClusterState.batch_move_deltas_cols`).
-    After each repair the pending scores again equal what the sequential
-    sweep would compute at its visit time, so the decision sequence —
-    visit order, accepted moves, chosen targets — is exactly the
-    sequential sweep's.
+    dispatched purely vectorized. An accepted move changes the
+    statistics, so the rows still pending in the window are re-scored
+    with one ``batch_move_deltas`` call: the same stateless kernel that
+    scores fresh windows, so a repaired row holds exactly the value a
+    fresh window would. After each repair the pending scores equal what
+    the sequential sweep would compute at its visit time, so the
+    decision sequence — visit order, accepted moves, chosen targets — is
+    exactly the sequential sweep's.
 
-    Truly dense phases (the shuffle after a random init, where most
-    objects move) would still pay one repair per move for little gain;
-    the strategy therefore falls back to the sequential inner loop
-    whenever the previous iteration's move rate exceeded
-    ``dense_threshold``, and mid-sweep if the realized rate crosses it.
-    The first iteration after ``reset`` (unknown rate) runs sequentially
-    as well.
+    The first iteration after ``reset`` (unknown move rate; the shuffle
+    after a random init, where most objects move) runs the sequential
+    inner loop: repairing after nearly every move would cost more than
+    it saves. Every later sweep starts chunked; a mid-sweep safety valve
+    hands the rest of the sweep to the sequential loop if the realized
+    move rate crosses ``dense_threshold``.
 
-    The window actually scored per batch call shrinks adaptively in
-    movey sweeps (≈ ``4 / move_rate``, floored at 32): every accepted
-    move repairs the rows still pending in its window, so bounding the
-    expected moves per window bounds the repair work.
+    The window scored per batch call shrinks adaptively in movey sweeps
+    (≈ ``4 / move_rate``, floored at 32): every accepted move repairs
+    the rows still pending in its window, so bounding the expected moves
+    per window bounds the repair work.
 
     With ``n_jobs > 1`` the sweep prefetches: groups of
     :data:`PREFETCH_WINDOWS` windows are scored concurrently against the
-    frozen statistics (NumPy's GEMMs release the GIL), then the whole
-    group is scanned serially in visit order with the same per-move
-    repair, now covering every row still pending in the group. The task
-    partition — window boundaries and group size — depends only on
-    ``chunk_size`` and the adaptive window, never on the worker count,
-    so every thread count computes the identical delta arrays and the
-    decision sequence stays exactly the sequential sweep's. Prefetching
-    coarsens the mid-sweep dense safety valve to group boundaries: a
-    sweep that turns dense mid-group pays repair for at most the
-    remaining prefetched windows (bounded by ``PREFETCH_WINDOWS``)
-    before the valve fires — a bounded wall-clock cost, never a
-    decision change.
+    frozen statistics (NumPy's GEMMs release the GIL), then the group is
+    scanned serially, one window at a time, with the same per-move
+    repair confined to the current window. A window entered after a
+    move in its group is re-scored whole first. The task partition —
+    window boundaries and group size — depends only on ``chunk_size``
+    and the adaptive window, never on the worker count, so every thread
+    count computes the identical delta arrays and the decision sequence
+    stays exactly the sequential sweep's. Prefetching coarsens the
+    safety valve to group boundaries: a sweep that turns dense mid-group
+    pays repair for at most the remaining prefetched windows before the
+    valve fires — a bounded wall-clock cost, never a decision change.
 
     Args:
         chunk_size: maximum objects scored per vectorized batch call.
-        dense_threshold: move rate above which the sweep runs the
-            sequential inner loop instead of chunk scoring.
+        dense_threshold: realized move rate above which the rest of a
+            sweep runs the sequential inner loop instead of chunk scoring.
         n_jobs: worker threads scoring windows concurrently (``1``
             serial, ``-1`` one per CPU). Decisions are identical for
             every value.
@@ -230,7 +226,7 @@ class ChunkedSweep(SweepStrategy):
         self, state: ClusterState, order: np.ndarray, lam: float, cfg: FairKMConfig
     ) -> int:
         n = order.shape[0]
-        if self._prev_rate is None or self._prev_rate > self.dense_threshold:
+        if self._prev_rate is None:
             moves = self._sequential.sweep(state, order, lam, cfg)
             self._prev_rate = moves / n
             self.last_stats = {**self._sequential.last_stats, "mode": "dense_fallback"}
@@ -260,7 +256,16 @@ class ChunkedSweep(SweepStrategy):
                 break
             group = order[start : start + stride]
             deltas = self._score_group(state, group, window, lam, stats)
-            moves += self._scan_window(state, group, lam, cfg, deltas, stats)
+            moved = False
+            for lo in range(0, group.shape[0], window):
+                rows = group[lo : lo + window]
+                if moved:  # the prefetched scores of this window are stale
+                    repair_start = time.perf_counter()
+                    deltas[lo : lo + window] = state.batch_move_deltas(rows, lam)
+                    stats["repair_s"] += time.perf_counter() - repair_start
+                hits = self._scan_window(state, rows, lam, cfg, deltas[lo : lo + window], stats)
+                moved = moved or hits > 0
+                moves += hits
         self._prev_rate = moves / n
         self.last_stats = stats
         return moves
@@ -315,29 +320,14 @@ class ChunkedSweep(SweepStrategy):
                 break
             if hit < 0:
                 return moves
-            i = int(window[hit])
-            source = int(state.labels[i])
-            target = int(np.argmin(deltas[hit]))
-            state.apply_move(i, target)
+            state.apply_move(int(window[hit]), int(np.argmin(deltas[hit])))
             moves += 1
             r = hit + 1
             if r >= w:
                 return moves
-            # Repair the pending rows: the move only changed the source
-            # and target clusters' statistics.
+            # Re-score the rows still pending in the window.
             repair_start = time.perf_counter()
-            suffix = window[r:]
-            cur = state.labels[suffix]
-            touched = (cur == source) | (cur == target)
-            stale = np.flatnonzero(touched)
-            if stale.size:
-                deltas[r + stale] = state.batch_move_deltas(suffix[stale], lam)
-            fresh = np.flatnonzero(~touched)
-            if fresh.size:
-                cols = np.array([source, target], dtype=np.int64)
-                deltas[(r + fresh)[:, None], cols[None, :]] = (
-                    state.batch_move_deltas_cols(suffix[fresh], cols, lam)
-                )
+            deltas[r:] = state.batch_move_deltas(window[r:], lam)
             best[r:] = deltas[r:].min(axis=1)
             stats["repair_s"] += time.perf_counter() - repair_start
 

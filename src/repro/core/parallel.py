@@ -238,10 +238,3 @@ class FrozenScoringView:
         """Frozen :meth:`ClusterState.batch_move_deltas`."""
         self._check()
         return self._state.batch_move_deltas(indices, lambda_)
-
-    def batch_move_deltas_cols(
-        self, indices: np.ndarray, clusters: np.ndarray, lambda_: float
-    ) -> np.ndarray:
-        """Frozen :meth:`ClusterState.batch_move_deltas_cols`."""
-        self._check()
-        return self._state.batch_move_deltas_cols(indices, clusters, lambda_)

@@ -79,27 +79,22 @@ def _attr_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _categorical_deltas(
-    codes: np.ndarray, cur: np.ndarray, m: np.ndarray, cats: tuple, cols: np.ndarray | None
+    codes: np.ndarray, cur: np.ndarray, m: np.ndarray, cats: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(fair_in (b, c), fair_out (b,))`` summed over the attributes.
+    """``(fair_in (b, k), fair_out (b,))`` summed over the attributes.
 
     *codes* holds the rows' stacked codes as ``(A, b)``; *cats* is
-    ``(p, p2, counts, h, norm)``; *cols* restricts the joined clusters.
+    ``(p, p2, counts, h, norm)``.
     """
     b = codes.shape[1]
     p, p2, counts, h, norm = cats
     p_j = np.take(p, codes)  # (A, b)
     self_term = 1.0 - 2.0 * p_j + p2[:, None]
-    counts_c, h_c, m_c = (counts, h, m) if cols is None else (counts[:, cols], h[:, cols], m[cols])
     # gap[a, r, c] = (counts[j_ar, c] − m_c p_j) − (h[a, c] − m_c P2_a), in place.
-    gap = np.take(counts_c, codes, axis=0)  # (A, b, c)
-    gap -= m_c * p_j[:, :, None]
-    gap -= (h_c - m_c * p2[:, None])[:, None, :]
-    if cols is None:
-        gap_cur = gap[:, np.arange(b), cur]
-    else:  # the same expression, for clusters outside cols
-        m_cur = m[cur]
-        gap_cur = (counts[codes, cur] - m_cur * p_j) - (h[:, cur] - m_cur * p2[:, None])
+    gap = np.take(counts, codes, axis=0)  # (A, b, k)
+    gap -= m * p_j[:, :, None]
+    gap -= (h - m * p2[:, None])[:, None, :]
+    gap_cur = gap[:, np.arange(b), cur]
     fair_out = _attr_sum(norm[:, None] * (-2.0 * gap_cur + self_term))
     gap *= 2.0
     gap += self_term[:, :, None]
@@ -118,7 +113,6 @@ def shard_move_deltas(
     nums: list[tuple[np.ndarray, float, np.ndarray]],
     lambda_: float,
     n2: float,
-    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pure-function core of :meth:`ClusterState.batch_move_deltas`.
 
@@ -141,49 +135,36 @@ def shard_move_deltas(
             ``y`` the gathered centered values.
         lambda_: fairness trade-off.
         n2: dataset ``n²`` as float (see :class:`ClusterState`).
-        cols: score only these clusters (see
-            :meth:`ClusterState.batch_move_deltas_cols`); default all k.
 
     Returns:
-        ``(b, k)`` matrix of objective deltas (``(b, len(cols))``).
+        ``(b, k)`` matrix of objective deltas.
     """
     rows = np.arange(xb.shape[0])
     m = sizes_f
     m_cur = m[cur]
-    if cols is None:
-        dots = xb @ sums.T  # (b, k)
-        dots_cur = dots[rows, cur]
-        ssq_in, m_in = sum_sqnorm, m
-    else:
-        dots = xb @ sums[cols].T  # (b, c)
-        dots_cur = np.einsum("ij,ij->i", xb, sums[cur])
-        ssq_in, m_in = sum_sqnorm[cols], m[cols]
+    dots = xb @ sums.T  # (b, k)
     # Divisors are clamped to >= 1, so no errstate guard is needed.
     delta_in = (
         x2[:, None]
-        + (ssq_in / np.where(m_in > 0, m_in, 1.0))[None, :]
-        - (ssq_in[None, :] + 2.0 * dots + x2[:, None]) / (m_in + 1.0)[None, :]
+        + (sum_sqnorm / np.where(m > 0, m, 1.0))[None, :]
+        - (sum_sqnorm[None, :] + 2.0 * dots + x2[:, None]) / (m + 1.0)[None, :]
     )
-    delta_in = np.where(m_in[None, :] > 0, delta_in, 0.0)
-    s2_minus = sum_sqnorm[cur] - 2.0 * dots_cur + x2
+    delta_in = np.where(m[None, :] > 0, delta_in, 0.0)
+    s2_minus = sum_sqnorm[cur] - 2.0 * dots[rows, cur] + x2
     delta_out = np.where(
         m_cur <= 1.0,
         0.0,
         -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0) + sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
     )
 
-    fair_in, fair_out = _categorical_deltas(cats[0], cur, m, cats[1:], cols)
+    fair_in, fair_out = _categorical_deltas(cats[0], cur, m, cats[1:])
     for y, weight, d in nums:
-        d_in = d if cols is None else d[cols]
-        fair_in += weight * (y[:, None] * (2.0 * d_in[None, :] + y[:, None]))
+        fair_in += weight * (y[:, None] * (2.0 * d[None, :] + y[:, None]))
         fair_out += weight * (-y * (2.0 * d[cur] - y))
 
     deltas = delta_in + delta_out[:, None]
     deltas += (lambda_ / n2) * (fair_in + fair_out[:, None])
-    if cols is None:
-        deltas[rows, cur] = 0.0
-    else:
-        deltas[cols[None, :] == cur[:, None]] = 0.0
+    deltas[rows, cur] = 0.0
     return deltas
 
 
@@ -469,10 +450,10 @@ class ClusterState:
 
         # --- K-Means term ------------------------------------------------
         dots = self.sums @ x  # S_C · x for every C
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta_in = x2 + self.sum_sqnorm / np.where(m > 0, m, 1.0) - (
-                self.sum_sqnorm + 2.0 * dots + x2
-            ) / (m + 1.0)
+        # Divisors are clamped to >= 1, so no errstate guard is needed.
+        delta_in = x2 + self.sum_sqnorm / np.where(m > 0, m, 1.0) - (
+            self.sum_sqnorm + 2.0 * dots + x2
+        ) / (m + 1.0)
         delta_in = np.where(m > 0, delta_in, 0.0)
 
         m_cur = float(m[cur])
@@ -513,25 +494,6 @@ class ClusterState:
         together.
         """
         return shard_move_deltas(**self.export_shard_inline(indices), lambda_=float(lambda_))
-
-    def batch_move_deltas_cols(
-        self, indices: np.ndarray, clusters: np.ndarray, lambda_: float
-    ) -> np.ndarray:
-        """Exact move deltas for *indices* × *clusters* only.
-
-        The same quantity as the ``clusters`` columns of
-        :meth:`batch_move_deltas`, in O(b·|clusters|) instead of O(b·k).
-        This is the chunked sweep's repair primitive: applying one move
-        (source → target) only perturbs those two clusters' statistics,
-        so for every pending object still assigned elsewhere just these
-        two columns of its frozen delta row need recomputing.
-
-        Entries where a cluster equals the object's current cluster are
-        0, mirroring :meth:`batch_move_deltas`.
-        """
-        cols = np.asarray(clusters, dtype=np.int64)
-        shard = self.export_shard_inline(indices)
-        return shard_move_deltas(**shard, lambda_=float(lambda_), cols=cols)
 
     def apply_move(self, i: int, target: int) -> None:
         """Move object *i* to cluster *target*, updating all caches.

@@ -30,7 +30,7 @@ Three suites ship today:
   end-to-end fit wall-clock it emits a ``*_scoring`` workload whose
   wall is the summed frozen-window scoring time from
   ``FairKMResult.diagnostics`` — exactly the section ``n_jobs``
-  parallelizes (the dense first sweeps fall back to the serial loop by
+  parallelizes (the first sweep of every fit runs the serial loop by
   design, so Amdahl caps the end-to-end number).
 * **assign** — the serving hot loop: ``Assigner.assign`` rows/s across
   worker counts.

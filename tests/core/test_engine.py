@@ -126,18 +126,6 @@ def test_chunked_reusable_across_fits(problem):
     )
 
 
-def test_batch_move_deltas_cols_matches_full(problem, rng):
-    points, cats, nums = problem
-    k = 4
-    state = ClusterState(points, rng.integers(0, k, points.shape[0]), k, cats, nums)
-    lam = 1234.5
-    indices = rng.integers(0, points.shape[0], 40)
-    full = state.batch_move_deltas(indices, lam)
-    cols = np.array([0, 2, 3])
-    subset = state.batch_move_deltas_cols(indices, cols, lam)
-    np.testing.assert_allclose(subset, full[:, cols], rtol=1e-12, atol=1e-9)
-
-
 # --------------------------------------------------------------------- #
 # Objective history recorded after resync (satellite regression)          #
 # --------------------------------------------------------------------- #

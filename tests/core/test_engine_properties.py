@@ -1,8 +1,9 @@
 """Hypothesis property tests for engine equivalence.
 
 The chunked-exact sweep must reproduce the sequential sweep's labels and
-objective trajectory on arbitrary random instances, and
-``MiniBatchFairKM(batch_size=1)`` must degenerate to exact FairKM.
+objective trajectory on arbitrary random instances, every exact engine
+must be a descent method, and ``MiniBatchFairKM(batch_size=1)`` must
+degenerate to exact FairKM.
 """
 
 from __future__ import annotations
@@ -69,12 +70,39 @@ def test_minibatch_of_one_equals_fairkm(problem):
     assert exact.objective == pytest.approx(mb.objective, rel=1e-9)
 
 
-@given(engine_problems())
-@settings(max_examples=15, deadline=None)
-def test_chunked_objective_never_increases(problem):
-    points, cats, nums, k, lam, chunk_size, shuffle, seed = problem
-    res = FairKM(
-        k, lambda_=lam, shuffle=shuffle, seed=seed, engine="chunked", chunk_size=chunk_size
-    ).fit(points, categorical=cats, numeric=nums)
-    hist = np.array(res.objective_history)
-    assert (np.diff(hist) <= 1e-6 * np.maximum(np.abs(hist[:-1]), 1.0)).all()
+@st.composite
+def descent_problems(draw):
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.integers(12, 120))
+    k = draw(st.integers(2, 8))
+    lam = draw(st.sampled_from([0.0, 1.0, 100.0, "auto"]))
+    chunk_size = draw(st.sampled_from([1, 3, 8, 64]))
+    shuffle = draw(st.booleans())
+    allow_empty = draw(st.booleans())
+    numeric = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, draw(st.integers(1, 4))))
+    cats = [CategoricalSpec("c", rng.integers(0, 3, n), n_values=3)]
+    nums = [NumericSpec("z", rng.normal(size=n))] if numeric else []
+    config = dict(lambda_=lam, shuffle=shuffle, allow_empty=allow_empty, seed=seed)
+    return points, cats, nums, k, chunk_size, config
+
+
+@given(descent_problems())
+@settings(max_examples=30, deadline=None)
+def test_exact_engines_are_descent_methods(problem):
+    """Every exact engine's objective_history never increases (b <= a),
+    and the chunked sweep at one and two workers equals the sequential."""
+    points, cats, nums, k, chunk_size, config = problem
+    seq = FairKM(k, **config).fit(points, categorical=cats, numeric=nums)
+    fits = [seq] + [
+        FairKM(k, engine="chunked", chunk_size=chunk_size, n_jobs=j, **config).fit(
+            points, categorical=cats, numeric=nums
+        )
+        for j in (1, 2)
+    ]
+    for res in fits:
+        history = res.objective_history
+        assert all(b <= a for a, b in zip(history, history[1:])), history
+        np.testing.assert_array_equal(res.labels, seq.labels)
+        assert res.objective_history == seq.objective_history

@@ -92,11 +92,6 @@ def test_frozen_view_delegates(small_state):
     np.testing.assert_array_equal(
         view.batch_move_deltas(idx, 2.0), small_state.batch_move_deltas(idx, 2.0)
     )
-    cols = np.array([0, 2])
-    np.testing.assert_array_equal(
-        view.batch_move_deltas_cols(idx, cols, 2.0),
-        small_state.batch_move_deltas_cols(idx, cols, 2.0),
-    )
 
 
 def test_frozen_view_detects_mutation(small_state):
@@ -111,7 +106,7 @@ def test_frozen_view_detects_resync(small_state):
     view = FrozenScoringView(small_state)
     small_state.resync()
     with pytest.raises(RuntimeError, match="mutated"):
-        view.batch_move_deltas_cols(np.arange(5), np.array([0]), 1.0)
+        view.batch_move_deltas(np.arange(5), 1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -268,12 +263,30 @@ def test_result_records_per_sweep_diagnostics():
     # The dense first sweep falls back to the serial loop; later sparse
     # sweeps run the chunked scan and report window + repair telemetry.
     assert sweeps[0]["mode"] == "dense_fallback"
+    assert all(s["mode"] != "dense_fallback" for s in sweeps[1:])
     chunked = [s for s in sweeps if s["mode"].startswith("chunked")]
     assert chunked, "no sweep ran the chunked scan"
     for entry in chunked:
         assert entry["window"] >= 1
         assert entry["n_jobs"] == 2
         assert entry["repair_s"] >= 0.0
+
+
+def test_dense_valve_fires_on_a_later_sweep():
+    """Only the first sweep runs dense up front; a later sweep whose
+    realized move rate crosses dense_threshold hands its tail to the
+    sequential loop, and the labels still equal the sequential sweep's."""
+    rng = np.random.default_rng(5)
+    points = np.vstack([rng.normal(0, 1, (400, 4)), rng.normal(5, 1, (400, 4))])
+    cats = [CategoricalSpec("c", rng.integers(0, 2, 800), n_values=2)]
+    sweep = ChunkedSweep(chunk_size=32, dense_threshold=0.05)
+    result = FairKM(3, lambda_=100.0, seed=0, engine=sweep).fit(points, categorical=cats)
+    modes = [s["mode"] for s in result.diagnostics["sweeps"]]
+    assert modes[0] == "dense_fallback"
+    assert "chunked+dense_tail" in modes[1:]
+    seq = FairKM(3, lambda_=100.0, seed=0).fit(points, categorical=cats)
+    np.testing.assert_array_equal(result.labels, seq.labels)
+    assert result.objective_history == seq.objective_history
 
 
 def test_minibatch_diagnostics_record_merge_time():

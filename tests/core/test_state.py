@@ -336,50 +336,44 @@ class _PerAttributeOracle:
         deltas[cur] = 0.0
         return deltas
 
-    def batch_move_deltas(self, indices: np.ndarray, lam: float, cols=None) -> np.ndarray:
-        """The b×k shard kernel, or with *cols* the b×c repair kernel."""
+    def batch_move_deltas(self, indices: np.ndarray, lam: float) -> np.ndarray:
+        """The b×k shard kernel."""
         xb, x2, cur, m = self.points[indices], self.x2[indices], self.labels[indices], self.sizes_f
         b, rows = indices.shape[0], np.arange(indices.shape[0])
-        clusters = np.arange(self.k) if cols is None else cols
-        m_c, ssq_c = m[clusters], self.sum_sqnorm[clusters]
-        dots = xb @ self.sums[clusters].T
+        ssq = self.sum_sqnorm
+        dots = xb @ self.sums.T
         delta_in = (
             x2[:, None]
-            + (ssq_c / np.where(m_c > 0, m_c, 1.0))[None, :]
-            - (ssq_c[None, :] + 2.0 * dots + x2[:, None]) / (m_c + 1.0)[None, :]
+            + (ssq / np.where(m > 0, m, 1.0))[None, :]
+            - (ssq[None, :] + 2.0 * dots + x2[:, None]) / (m + 1.0)[None, :]
         )
-        delta_in = np.where(m_c[None, :] > 0, delta_in, 0.0)
+        delta_in = np.where(m[None, :] > 0, delta_in, 0.0)
         m_cur = m[cur]
-        if cols is None:
-            dots_cur = dots[rows, cur]
-        else:
-            dots_cur = np.einsum("ij,ij->i", xb, self.sums[cur])
-        s2_minus = self.sum_sqnorm[cur] - 2.0 * dots_cur + x2
+        s2_minus = self.sum_sqnorm[cur] - 2.0 * dots[rows, cur] + x2
         delta_out = np.where(
             m_cur <= 1.0,
             0.0,
             -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0)
             + self.sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
         )
-        fair_in, fair_out = np.zeros((b, clusters.shape[0])), np.zeros(b)
+        fair_in, fair_out = np.zeros((b, self.k)), np.zeros(b)
         for cat in self.cats:
             j = cat["codes"][indices]
             p_j = cat["p"][j]
             self_term = 1.0 - 2.0 * p_j + cat["p2"]
-            gap = cat["counts"][np.ix_(clusters, j)].T - m_c[None, :] * p_j[:, None] - (
-                cat["h"][clusters][None, :] - m_c[None, :] * cat["p2"]
+            gap = cat["counts"][:, j].T - m[None, :] * p_j[:, None] - (
+                cat["h"][None, :] - m[None, :] * cat["p2"]
             )
             fair_in += cat["norm"] * (2.0 * gap + self_term[:, None])
             gap_cur = (cat["counts"][cur, j] - m_cur * p_j) - (cat["h"][cur] - m_cur * cat["p2"])
             fair_out += cat["norm"] * (-2.0 * gap_cur + self_term)
         for num in self.nums:
             y = num["y"][indices]
-            d_c = num["d"][clusters]
-            fair_in += num["weight"] * (y[:, None] * (2.0 * d_c[None, :] + y[:, None]))
+            fair_in += num["weight"] * (y[:, None] * (2.0 * num["d"][None, :] + y[:, None]))
             fair_out += num["weight"] * (-y * (2.0 * num["d"][cur] - y))
         deltas = delta_in + delta_out[:, None]
         deltas += (lam / self.n2) * (fair_in + fair_out[:, None])
-        deltas[clusters[None, :] == cur[:, None]] = 0.0
+        deltas[rows, cur] = 0.0
         return deltas
 
     def apply_move(self, i: int, target: int) -> None:
@@ -480,13 +474,8 @@ def test_stacked_kernels_match_per_attribute_oracle(seed, kinds, n_num, k, b):
     oracle = _PerAttributeOracle(state)
     for _ in range(6):
         indices = rng.integers(0, n, b)
-        cols = rng.integers(0, k, int(rng.integers(1, 3)))
         assert np.array_equal(
             state.batch_move_deltas(indices, lam), oracle.batch_move_deltas(indices, lam)
-        )
-        assert np.array_equal(
-            state.batch_move_deltas_cols(indices, cols, lam),
-            oracle.batch_move_deltas(indices, lam, cols),
         )
         for i in indices[:5]:
             assert np.array_equal(state.move_deltas(int(i), lam), oracle.move_deltas(int(i), lam))
@@ -521,11 +510,9 @@ def test_attribute_sums_stay_ordered_past_eight_attributes(b):
     state = ClusterState(rng.normal(size=(n, 2)), rng.integers(0, k, n), k, cats, [])
     oracle = _PerAttributeOracle(state)
     indices = rng.integers(0, n, b)
-    lam, cols, i = 7e3, np.array([0, 2]), int(indices[0])
+    lam, i = 7e3, int(indices[0])
     assert np.array_equal(
         state.batch_move_deltas(indices, lam), oracle.batch_move_deltas(indices, lam)
     )
-    repaired = state.batch_move_deltas_cols(indices, cols, lam)
-    assert np.array_equal(repaired, oracle.batch_move_deltas(indices, lam, cols))
     assert np.array_equal(state.move_deltas(i, lam), oracle.move_deltas(i, lam))
     assert state.fairness_term() == oracle.fairness_term()
