@@ -1,9 +1,9 @@
-"""Distributed training: the same fit on threads, processes, and the wire.
+"""Distributed training: the same fit on threads and on processes.
 
 FairKM's objective decomposes into additive per-cluster sufficient
 statistics, so shard scoring can run anywhere — the pluggable backend
 decides where. This script fits one mini-batch FairKM problem through
-all three backends and verifies the repo's standing bar: every backend,
+both backends and verifies the repo's standing bar: every backend,
 at every worker count, produces *bit-identical* labels and centers.
 
 Safe on a single-core machine (the multiprocess backend still works,
@@ -19,8 +19,6 @@ import time
 import numpy as np
 
 from repro.api import RunConfig, fit
-from repro.backend import RemoteBackend
-from repro.core import CategoricalSpec, MiniBatchFairKM, NumericSpec
 
 
 def main() -> None:
@@ -53,28 +51,6 @@ def main() -> None:
         assert np.array_equal(model.centers, reference.centers), key
         assert np.array_equal(model.assign(points), reference.assign(points)), key
     print("\nall backends produced bit-identical centers and assignments")
-
-    # ----------------------------------------------------------------- #
-    # Remote loopback: shards round-trip the serving wire format.        #
-    # (examples/remote_fit.py dispatches to live workers over HTTP.)     #
-    # ----------------------------------------------------------------- #
-    cats = [CategoricalSpec("gender", gender)]
-    nums = [NumericSpec("age", age)]
-    backend = RemoteBackend()
-    remote = MiniBatchFairKM(
-        k, batch_size=2048, seed=0, max_iter=8, backend=backend
-    ).fit(points, categorical=cats, numeric=nums)
-    local = MiniBatchFairKM(k, batch_size=2048, seed=0, max_iter=8).fit(
-        points, categorical=cats, numeric=nums
-    )
-    assert np.array_equal(remote.labels, local.labels)
-    print(
-        f"remote loopback round-tripped {backend.frames_encoded} frames "
-        f"({backend.bytes_encoded / 1e6:.1f} MB) through the wire codec — "
-        "still bit-identical"
-    )
-    print("\nfit diagnostics record the executor:",
-          remote.diagnostics["backend"])
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Any
 ENGINES = ("sequential", "chunked", "minibatch")
 
 #: Valid training execution backends (mirrors ``repro.backend``).
-BACKENDS = ("local", "multiprocess", "remote")
+BACKENDS = ("local", "multiprocess")
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,13 @@ class RunConfig:
             ``"local"`` scores in a thread pool (default),
             ``"multiprocess"`` in worker processes over one
             shared-memory data placement (bit-identical results at
-            every worker count), ``"remote"`` over the serving fleet's
-            ``POST /score`` route (bit-identical too; loopback without
-            ``targets``). A host-execution knob like ``n_jobs`` — not
-            persisted by ``ClusterModel.save``.
+            every worker count). A host-execution knob like ``n_jobs``
+            — not persisted by ``ClusterModel.save``.
         workers: worker count for *backend* — an integer >= 1, -1 or
             ``"auto"`` (one per usable CPU, honoring the
             ``REPRO_CORE_BUDGET`` env cap); ``None`` (default) inherits
             ``n_jobs``. Results are bit-identical for every value. Not
             persisted by ``ClusterModel.save``.
-        targets: fleet worker URLs for ``backend="remote"``
-            (``http://host:port`` or ``http+unix:///path``); ``None``
-            or empty runs the remote backend in loopback mode. Only
-            meaningful with the remote backend; rejected otherwise.
-            Not persisted by ``ClusterModel.save``.
         seed: RNG seed (one fit is fully deterministic given the seed).
         scale_features: z-score numeric features when fitting from a
             ``Dataset`` (True for Adult; False for embedding spaces).
@@ -84,7 +77,6 @@ class RunConfig:
     n_jobs: int = 1
     backend: str = "local"
     workers: int | str | None = None
-    targets: tuple[str, ...] | None = None
     seed: int = 0
     scale_features: bool = True
     sensitive: tuple[str, ...] | None = None
@@ -108,16 +100,14 @@ class RunConfig:
         from ..core.parallel import validate_n_jobs, validate_workers
 
         validate_n_jobs(self.n_jobs)
+        if self.backend == "remote":
+            from ..backend import REMOTE_REMOVED
+
+            raise ValueError(REMOTE_REMOVED)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.workers is not None:
             validate_workers(self.workers, field="workers")
-        if self.targets is not None:
-            object.__setattr__(self, "targets", tuple(str(t) for t in self.targets))
-            if self.targets and self.backend != "remote":
-                raise ValueError(
-                    f'targets= requires backend="remote", got backend={self.backend!r}'
-                )
         if self.sensitive is not None:
             object.__setattr__(self, "sensitive", tuple(str(s) for s in self.sensitive))
 
@@ -135,24 +125,29 @@ class RunConfig:
         data = asdict(self)
         if data["sensitive"] is not None:
             data["sensitive"] = list(data["sensitive"])
-        if data["targets"] is not None:
-            data["targets"] = list(data["targets"])
         return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        """Inverse of :meth:`to_dict`; unknown keys are rejected.
+
+        Configs written while the remote backend existed carry
+        ``"targets": null``, which is dropped; fleet URLs in it raise
+        the removal error.
+        """
+        data = dict(data)
+        if data.pop("targets", None):
+            from ..backend import REMOTE_REMOVED
+
+            raise ValueError(REMOTE_REMOVED)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
                 f"unknown RunConfig keys {sorted(unknown)}; known: {sorted(known)}"
             )
-        data = dict(data)
         if data.get("sensitive") is not None:
             data["sensitive"] = tuple(data["sensitive"])
-        if data.get("targets") is not None:
-            data["targets"] = tuple(data["targets"])
         return cls(**data)
 
     def to_json(self, *, indent: int | None = 2) -> str:

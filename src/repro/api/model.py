@@ -180,7 +180,6 @@ class ClusterModel:
         config.pop("n_jobs", None)
         config.pop("backend", None)
         config.pop("workers", None)
-        config.pop("targets", None)
         payload = {
             "format": ARTIFACT_FORMAT,
             "version": self.version,

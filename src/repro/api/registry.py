@@ -84,27 +84,6 @@ def build_estimator(config: RunConfig) -> Any:
     return get_method(config.method).build(config)
 
 
-def _backend_args(cfg: RunConfig) -> dict[str, Any]:
-    """The ``backend=``/``workers=`` arguments estimators get from *cfg*.
-
-    Plain configs pass their spec string through untouched. A remote
-    config with targets needs a constructed
-    :class:`~repro.backend.remote.RemoteBackend` (the string spec alone
-    cannot carry URLs); estimators accept backend instances — with
-    ``workers`` folded in at construction, since an instance's width
-    cannot be overridden — so this is the one place fleet targets enter
-    the training path.
-    """
-    if cfg.backend == "remote" and cfg.targets:
-        from ..backend import RemoteBackend
-
-        return {
-            "backend": RemoteBackend(cfg.effective_workers, targets=cfg.targets),
-            "workers": None,
-        }
-    return {"backend": cfg.backend, "workers": cfg.workers}
-
-
 def _is_categorical(spec: Any) -> bool:
     from ..core.attributes import CategoricalSpec
 
@@ -132,7 +111,8 @@ register_method(
         chunk_size=cfg.chunk_size,
         n_jobs=cfg.n_jobs,
         seed=cfg.seed,
-        **_backend_args(cfg),
+        backend=cfg.backend,
+        workers=cfg.workers,
     ),
 )
 register_method(
@@ -144,7 +124,8 @@ register_method(
         max_iter=cfg.max_iter,
         n_jobs=cfg.n_jobs,
         seed=cfg.seed,
-        **_backend_args(cfg),
+        backend=cfg.backend,
+        workers=cfg.workers,
     ),
 )
 register_method(

@@ -4,26 +4,28 @@ Where a fit's shard scoring runs: the in-process thread pool
 (:class:`LocalBackend`, the default — zero behavior change), a process
 pool over one shared-memory data placement
 (:class:`MultiprocessBackend` — bit-identical to local at every worker
-count), or the serving fleet over HTTP (:class:`RemoteBackend` —
-``POST /score`` per shard, loopback without targets, bit-identical
-too). See ``docs/architecture.md`` ("Training backends" / "Remote
-training") and :func:`make_backend` for the string spec the API layer
-exposes as ``RunConfig(backend=..., workers=..., targets=...)``.
+count). See ``docs/architecture.md`` ("Training backends") and
+:func:`make_backend` for the string spec the API layer exposes as
+``RunConfig(backend=..., workers=...)``.
 """
 
 from __future__ import annotations
 
 from .base import Backend, BackendError, LocalBackend
 from .multiprocess import MultiprocessBackend
-from .remote import RemoteBackend
 
 #: Valid ``backend=`` spec strings, in registry order.
-BACKEND_NAMES = ("local", "multiprocess", "remote")
+BACKEND_NAMES = ("local", "multiprocess")
+
+#: The error for ``backend="remote"``, a spec this package no longer has.
+REMOTE_REMOVED = (
+    "the remote training backend was removed; backend='local' or "
+    "'multiprocess' gives the same results"
+)
 
 _REGISTRY = {
     LocalBackend.name: LocalBackend,
     MultiprocessBackend.name: MultiprocessBackend,
-    RemoteBackend.name: RemoteBackend,
 }
 
 
@@ -41,6 +43,8 @@ def make_backend(
             raise ValueError("workers cannot be overridden on a constructed Backend instance")
         return spec
     name = "local" if spec is None else str(spec)
+    if name == "remote":
+        raise ValueError(REMOTE_REMOVED)
     cls = _REGISTRY.get(name)
     if cls is None:
         raise ValueError(f"backend must be one of {BACKEND_NAMES}, got {spec!r}")
@@ -53,6 +57,5 @@ __all__ = [
     "BackendError",
     "LocalBackend",
     "MultiprocessBackend",
-    "RemoteBackend",
     "make_backend",
 ]

@@ -6,8 +6,7 @@ computes the per-shard move-delta statistics and how do the pieces come
 back together? The FairKM objective decomposes into additive per-cluster
 sufficient statistics, so a shard's deltas depend only on (static data,
 frozen stats, shard rows) — which is exactly what lets the same sweep
-code run on a thread pool, a process pool over shared memory, or (one
-day) a fleet of remote hosts.
+code run on a thread pool or on a process pool over shared memory.
 
 The protocol keeps the repo's standing correctness bar structural:
 

@@ -166,18 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=list(BACKENDS), default=None,
         help="training execution backend: 'local' (thread pool, default), "
         "'multiprocess' (worker processes over shared memory; bit-identical "
-        "results) or 'remote' (fleet workers over POST /score; bit-identical "
-        "too — loopback without --targets)",
+        "results)",
     )
     p_fit.add_argument(
         "--workers", type=workers_value, default=None,
         help="worker count for --backend (positive int, -1 or 'auto' = one "
         "per usable CPU; default: inherit --jobs)",
-    )
-    p_fit.add_argument(
-        "--targets", nargs="+", default=None, metavar="URL",
-        help="fleet worker URLs for --backend remote (http://host:port or "
-        "http+unix:///path; 'repro fleet targets' prints a live fleet's)",
     )
     p_fit.add_argument("--max-iter", type=positive_int, default=None)
     p_fit.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
@@ -356,12 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="availability gate for the breaker-on soak "
         "(default 0.99 full / 0.90 smoke)",
     )
-    p_chaos.add_argument(
-        "--no-remote-fit", action="store_true",
-        help="skip the remote-fit soak (a POST /score fit through the "
-        "fleet with a mid-fit worker SIGKILL; must end bit-identical to "
-        "local or as a typed BackendError)",
-    )
 
     # ----------------------------------------------------------- serve #
     p_serve = sub.add_parser(
@@ -370,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve batched S-blind assignment over HTTP from a "
         "model registry (hot-reloading its LATEST pointer) or from one "
         "artifact directory. Endpoints: POST /assign (JSON or npy "
-        "bytes), POST /score (remote-training shard scoring), "
-        "GET /healthz, GET /model, POST /reload.",
+        "bytes), GET /healthz, GET /model, POST /reload.",
     )
     p_serve.add_argument(
         "--registry", type=Path, default=None,
@@ -479,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("status", "fleet-wide health: one row per worker"),
         ("rollout", "canary-roll the fleet to a registry version"),
-        ("targets", "print the worker URLs to train against "
-         "(repro fit --backend remote --targets ...)"),
     ):
         p_action = fleet_sub.add_parser(name, help=help_text)
         p_action.add_argument(
@@ -647,7 +632,11 @@ def _resolve_fit_inputs(
 
 
 def _cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    base = RunConfig.from_json(args.config.read_text()) if args.config else RunConfig()
+    try:
+        base = RunConfig.from_json(args.config.read_text()) if args.config else RunConfig()
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {args.config}: {exc}")
+        raise AssertionError("unreachable")
     sensitive_names = (
         tuple(s.strip() for s in args.sensitive.split(",") if s.strip())
         if args.sensitive
@@ -662,7 +651,6 @@ def _cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         n_jobs=args.jobs,
         backend=args.backend,
         workers=args.workers,
-        targets=tuple(args.targets) if args.targets else None,
         max_iter=args.max_iter,
         seed=args.seed,
         scale_features=False if args.no_scale else None,
@@ -902,8 +890,7 @@ def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         _announce(args.announce, server, snap.version)
     print(f"serving {snap.version} (method={snap.model.config.method}, "
           f"k={snap.model.k}, d={snap.model.n_features}) on {server.url}")
-    print("endpoints: POST /assign  POST /score  GET /healthz  "
-          "GET /model  POST /reload")
+    print("endpoints: POST /assign  GET /healthz  GET /model  POST /reload")
     serve_forever(server)
     return 0
 
@@ -936,8 +923,6 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         return _fleet_up(args, parser)
     if args.fleet_command == "status":
         return _fleet_status(args, parser)
-    if args.fleet_command == "targets":
-        return _fleet_targets(args, parser)
     return _fleet_rollout(args, parser)
 
 
@@ -1007,7 +992,6 @@ def _cmd_chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             workers=args.workers,
             out_dir=args.out,
             min_availability=args.min_availability,
-            remote_fit=not args.no_remote_fit,
         )
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
@@ -1019,35 +1003,6 @@ def _cmd_chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             print(f"chaos gate FAILED: {reason}", file=sys.stderr)
         return 1
     print("chaos gate passed: availability within budget, zero wrong answers")
-    return 0
-
-
-def _fleet_targets(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    """Print a live fleet's worker URLs, one per line.
-
-    The output is exactly what ``repro fit --backend remote --targets``
-    (or ``RunConfig(targets=...)``) takes: the per-worker server URLs
-    recorded in the fleet state file, each exposing ``POST /score``.
-    The proxy URL is deliberately absent — training shards go straight
-    to workers; the proxy only fronts serving traffic.
-    """
-    import json
-
-    state_path = _fleet_state_path(args)
-    if state_path is None:
-        parser.error(
-            "one of --registry or --state-dir is required "
-            "(worker URLs live in the fleet state file)"
-        )
-        raise AssertionError("unreachable")
-    if not state_path.is_file():
-        parser.error(f"no fleet state file at {state_path} (is the fleet up?)")
-    state = json.loads(state_path.read_text(encoding="utf-8"))
-    urls = [w.get("url") for w in state.get("workers", []) if w.get("url")]
-    if not urls:
-        parser.error(f"{state_path} records no worker URLs (is the fleet up?)")
-    for url in urls:
-        print(url)
     return 0
 
 

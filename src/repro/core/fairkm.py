@@ -73,11 +73,8 @@ class FairKM(EstimatorMixin):
         backend: execution backend for those parallel scoring paths —
             ``"local"`` (thread pool, default), ``"multiprocess"``
             (worker processes over a shared-memory data placement;
-            bit-identical results) or ``"remote"`` (fleet ``/score``
-            requests, in-process loopback without targets;
-            bit-identical too), or a
-            :class:`repro.backend.Backend` instance. Ignored by
-            ``"sequential"``.
+            bit-identical results), or a :class:`repro.backend.Backend`
+            instance. Ignored by ``"sequential"``.
         workers: worker count for *backend* (int >= 1, -1 or
             ``"auto"`` for one per usable CPU); ``None`` inherits
             ``n_jobs``. Results are identical for every value.

@@ -36,8 +36,6 @@ the A terms are added in attribute order starting from 0.0 — by reducing
 over the *leading* attribute axis (:func:`_attr_sum`), never by a
 ``.sum`` over a contiguous innermost axis, which numpy adds pairwise.
 Scores are therefore bit-identical to one-attribute-at-a-time evaluation.
-:func:`split_categorical` gives that per-attribute form (the ``/score``
-wire's) and :func:`stack_categorical` inverts it.
 
 Floating-point hygiene: thousands of incremental updates accumulate error,
 so :meth:`ClusterState.resync` recomputes every cache from the raw label
@@ -116,10 +114,10 @@ def shard_move_deltas(
 ) -> np.ndarray:
     """Pure-function core of :meth:`ClusterState.batch_move_deltas`.
 
-    Every scoring path in the system — in-process, multiprocess workers,
-    and the fleet ``/score`` route — must funnel through this one
-    expression sequence so their float operation order is identical and
-    remote fits stay bit-for-bit equal to local ones.
+    Every scoring path in the system — in process and in multiprocess
+    workers — must funnel through this one expression sequence so their
+    float operation order is identical and a multiprocess fit stays bit
+    for bit equal to a local one.
 
     Args:
         xb: shard rows of the point matrix, shape ``(b, d)``.
@@ -166,36 +164,6 @@ def shard_move_deltas(
     deltas += (lambda_ / n2) * (fair_in + fair_out[:, None])
     deltas[rows, cur] = 0.0
     return deltas
-
-
-def split_categorical(cats: tuple, sizes: list[int]) -> list[tuple]:
-    """The stacked *cats* of :func:`shard_move_deltas`, one attribute at a time.
-
-    Returns, per attribute of ``sizes[a]`` values, ``(codes (b,) int64
-    from 0, p (|V|,), p2, counts (k, |V|), h (k,), norm)``: the form the
-    ``/score`` wire carries. :func:`stack_categorical` inverts it.
-    """
-    codes, p, p2, counts, h, norm = cats
-    bounds = np.cumsum([0, *sizes])
-    return [
-        (codes[a].astype(np.int64) - lo, p[lo:hi], float(p2[a]),
-         np.ascontiguousarray(counts[lo:hi].T), h[a], float(norm[a]))
-        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-
-
-def stack_categorical(parts: list[tuple], b: int, k: int) -> tuple:
-    """The stacked *cats* of :func:`split_categorical` *parts* (*b* rows, *k* clusters)."""
-    a = len(parts)
-    offsets = np.cumsum([0, *(len(part[1]) for part in parts)])[:-1]
-    return (
-        np.array([part[0] for part in parts], dtype=np.int64).reshape(a, b) + offsets[:, None],
-        np.concatenate([np.zeros(0), *(part[1] for part in parts)]),
-        np.array([part[2] for part in parts], dtype=np.float64),
-        np.concatenate([np.zeros((0, k)), *(part[3].T for part in parts)]),
-        np.array([part[4] for part in parts], dtype=np.float64).reshape(a, k),
-        np.array([part[5] for part in parts], dtype=np.float64),
-    )
 
 
 class ClusterState:
@@ -331,7 +299,7 @@ class ClusterState:
         """Everything :meth:`batch_move_deltas` reads besides the data.
 
         Returns the live per-cluster sufficient statistics — the arrays
-        a remote scorer must install next to its own copy of the static
+        a backend worker must install next to its own copy of the static
         data (points + attribute specs) to reproduce this state's
         scoring bit for bit. The values are *live views*, frozen only
         by the no-mutation-during-scoring protocol; callers shipping
@@ -344,29 +312,6 @@ class ClusterState:
             "counts": self._counts,
             "h": self._h,
             "num_d": [num.d for num in self._num],
-        }
-
-    def export_shard_inline(self, indices: np.ndarray) -> dict[str, object]:
-        """Everything a *stateless* remote scorer needs for *indices*.
-
-        The self-contained sibling of :meth:`export_scoring_stats`: the
-        shard's data rows are gathered here so the peer needs no copy of
-        the static data at all — it feeds the returned arrays straight
-        into :func:`shard_move_deltas`, as :meth:`batch_move_deltas` does
-        in process. This is the payload of the ``/score`` inline mode.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        return {
-            "xb": self.points[indices],
-            "x2": self.point_sqnorm[indices],
-            "cur": self.labels[indices],
-            "sums": self.sums,
-            "sum_sqnorm": self.sum_sqnorm,
-            "sizes_f": self._sizes_f,
-            "cats": (np.take(self._codes, indices, axis=1), self._p, self._p2,
-                     self._counts, self._h, self._norm),
-            "nums": [(num.centered[indices], num.weight, num.d) for num in self._num],
-            "n2": self._n2,
         }
 
     def install_scoring_stats(self, stats: dict[str, object]) -> None:
@@ -493,7 +438,20 @@ class ClusterState:
         a batch, decisions are made against a stale snapshot and applied
         together.
         """
-        return shard_move_deltas(**self.export_shard_inline(indices), lambda_=float(lambda_))
+        indices = np.asarray(indices, dtype=np.int64)
+        return shard_move_deltas(
+            self.points[indices],
+            self.point_sqnorm[indices],
+            self.labels[indices],
+            self.sums,
+            self.sum_sqnorm,
+            self._sizes_f,
+            (np.take(self._codes, indices, axis=1), self._p, self._p2,
+             self._counts, self._h, self._norm),
+            [(num.centered[indices], num.weight, num.d) for num in self._num],
+            float(lambda_),
+            self._n2,
+        )
 
     def apply_move(self, i: int, target: int) -> None:
         """Move object *i* to cluster *target*, updating all caches.

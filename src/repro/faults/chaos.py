@@ -27,15 +27,6 @@ the request loop while delivering the scheduled signals, and measures:
 breaker-off soak (same seed, same timeline) and writes the schema-valid
 ``results/BENCH_chaos.json`` — the availability delta between the two
 records is the circuit breaker's measured contribution.
-
-:func:`run_remote_fit_soak` is the training-path counterpart: a remote
-``POST /score`` fit through a live fleet with a seeded worker SIGKILL
-landing mid-fit. The acceptable outcomes form a dichotomy — the fit
-either completes **bit-identical** to the local backend (failover
-carried it) or raises a typed
-:class:`~repro.backend.base.BackendError` (failover exhausted); a fit
-that *completes with different numbers* is the one unforgivable
-outcome, mirroring the serving soak's "may fail, may never lie" rule.
 """
 
 from __future__ import annotations
@@ -336,151 +327,6 @@ def run_chaos(
     return report
 
 
-@dataclass
-class RemoteFitReport:
-    """Outcome of one remote-fit soak (:func:`run_remote_fit_soak`)."""
-
-    seed: int
-    workers: int
-    n: int
-    k: int
-    #: ``"identical"`` (failover carried the fit, result bit-equal to
-    #: local), ``"backend_error"`` (typed abort) or ``"wrong"`` (the
-    #: unforgivable one: completed with different numbers).
-    outcome: str = ""
-    error: str = ""
-    kills: int = 0
-    wall_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome in ("identical", "backend_error")
-
-    def to_record(self) -> Any:
-        """This soak as one schema-valid :class:`BenchRecord`."""
-        from ..perf.harness import BenchRecord
-
-        return BenchRecord(
-            workload="chaos_remote_fit",
-            n=self.n,
-            k=self.k,
-            jobs=self.workers,
-            wall_s=self.wall_s,
-            rows_per_s=self.n / self.wall_s if self.wall_s > 0 else 0.0,
-            extra={
-                "seed": self.seed,
-                "outcome": self.outcome,
-                "kills": self.kills,
-                "error": self.error,
-            },
-        )
-
-
-def run_remote_fit_soak(
-    *,
-    seed: int = 0,
-    workers: int = 2,
-    rows: int = 2_500,
-    k: int = 4,
-    state_root: str | Path | None = None,
-) -> RemoteFitReport:
-    """One remote fit through a live fleet with a mid-fit worker SIGKILL.
-
-    Publishes a placeholder model into a throwaway registry (fleet
-    workers need *a* model to come up healthy; ``/score`` itself is
-    stateless per request), starts a
-    :class:`~repro.serving.fleet.FleetSupervisor` fleet, and runs a
-    mini-batch FairKM fit through
-    :class:`~repro.backend.RemoteBackend` against the worker URLs while
-    a seed-timed SIGKILL takes one worker down. The same fit is run
-    first through the local backend; the remote result must match it
-    bit-for-bit (labels, centers, objective history) or abort with a
-    typed :class:`~repro.backend.base.BackendError` — never complete
-    with different numbers.
-    """
-    import threading
-
-    from ..api.config import RunConfig
-    from ..api.model import ClusterModel
-    from ..backend import BackendError, RemoteBackend
-    from ..core import MiniBatchFairKM
-    from ..perf.harness import _engine_problem
-    from ..serving.fleet import FleetSupervisor
-    from ..serving.registry import ModelRegistry
-
-    rng = random.Random(seed)
-    points, cats, nums = _engine_problem(rows)
-    n_real = points.shape[0]
-    lam = (n_real / k) ** 2
-
-    def fit(backend):
-        return MiniBatchFairKM(
-            k, batch_size=512, lambda_=lam, seed=seed, max_iter=10,
-            backend=backend,
-        ).fit(points, categorical=cats, numeric=nums)
-
-    base = fit("local")
-    report = RemoteFitReport(seed=seed, workers=workers, n=n_real, k=k)
-
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-remote-") as tmp:
-        root = Path(state_root) if state_root is not None else Path(tmp)
-        registry = ModelRegistry(root / "registry")
-        registry.publish(
-            ClusterModel(points[:k].copy(), RunConfig(method="kmeans", k=k)),
-            label="chaos",
-        )
-        supervisor = FleetSupervisor(
-            registry, workers=workers, state_dir=root / "fleet"
-        ).start()
-        try:
-            targets = tuple(url for _, url in supervisor.target_urls())
-            backend = RemoteBackend(
-                workers, targets=targets, backoff_seed=seed
-            )
-            holder: dict[str, Any] = {}
-
-            def run_fit() -> None:
-                try:
-                    holder["result"] = fit(backend)
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    holder["error"] = exc
-
-            thread = threading.Thread(target=run_fit, name="repro-chaos-fit")
-            start = time.perf_counter()
-            thread.start()
-            # Seed-timed kill aimed at the middle of the fit; if the fit
-            # outruns it, the soak degrades to a clean bit-identity check
-            # (still a valid outcome — the dichotomy below covers both).
-            time.sleep(0.1 + rng.random() * 0.2)
-            pids = supervisor.worker_pids()
-            victim = rng.randrange(len(pids))
-            if _deliver(pids[victim], "sigkill"):
-                report.kills = 1
-            thread.join()
-            report.wall_s = time.perf_counter() - start
-        finally:
-            supervisor.stop()
-
-    error = holder.get("error")
-    if isinstance(error, BackendError):
-        report.outcome = "backend_error"
-        report.error = str(error)
-    elif error is not None:
-        raise error
-    else:
-        result = holder["result"]
-        identical = (
-            np.array_equal(result.labels, base.labels)
-            and np.array_equal(result.centers, base.centers)
-            and np.array_equal(
-                np.asarray(result.objective_history),
-                np.asarray(base.objective_history),
-            )
-        )
-        report.outcome = "identical" if identical else "wrong"
-    return report
-
-
 def run_chaos_suite(
     *,
     seed: int = 0,
@@ -489,18 +335,13 @@ def run_chaos_suite(
     workers: int = 2,
     out_dir: str | Path | None = None,
     min_availability: float | None = None,
-    remote_fit: bool = True,
 ) -> dict[str, Any]:
     """Run the chaos soak(s) and write ``BENCH_chaos.json``.
 
     The full suite runs the breaker-on soak and the *identical*
     breaker-off soak (same seed, same fault timeline) so the JSON holds
     the breaker's measured availability contribution side by side;
-    ``--smoke`` runs a single short breaker-on soak for CI. Both modes
-    finish with the remote-fit soak (:func:`run_remote_fit_soak`)
-    unless *remote_fit* is False — its record rides in the same file
-    and a ``"wrong"`` outcome fails the suite exactly like a wrong
-    serving answer.
+    ``--smoke`` runs a single short breaker-on soak for CI.
 
     Args:
         seed: scenario seed (same seed, same fault schedule).
@@ -511,14 +352,12 @@ def run_chaos_suite(
             directory, honoring ``REPRO_RESULTS_DIR``).
         min_availability: the gate the breaker-on soak must clear
             (default 0.99 full / 0.90 smoke).
-        remote_fit: also run the remote-fit kill soak (default True).
 
     Returns:
         ``{"path": Path, "reports": [ChaosReport, ...], "ok": bool,
         "reasons": [str, ...]}`` — ``ok`` is False when the breaker-on
         soak missed the availability bar or *any* soak returned a wrong
-        answer. The remote-fit report, when run, is appended to
-        ``reports``.
+        answer.
     """
     from ..experiments.paper import RESULTS_DIR
     from ..perf.harness import write_bench
@@ -536,15 +375,8 @@ def run_chaos_suite(
                 seed=seed, requests=count, workers=workers, breaker=False
             )
         )
-    reports: list[Any] = [run_chaos(scenario) for scenario in scenarios]
+    reports = [run_chaos(scenario) for scenario in scenarios]
     records = [report.to_record() for report in reports]
-    fit_report: RemoteFitReport | None = None
-    if remote_fit:
-        fit_report = run_remote_fit_soak(
-            seed=seed, workers=workers, rows=1_200 if smoke else 2_500
-        )
-        reports.append(fit_report)
-        records.append(fit_report.to_record())
     out = Path(out_dir) if out_dir is not None else RESULTS_DIR
     path = write_bench(out / "BENCH_chaos.json", CHAOS_SUITE, records)
     reasons: list[str] = []
@@ -555,18 +387,13 @@ def run_chaos_suite(
             f"is below the {bar:.2f} gate"
         )
     for report in reports:
-        if isinstance(report, ChaosReport) and report.wrong:
+        if report.wrong:
             mode = "on" if report.scenario.breaker else "off"
             reasons.append(
                 f"breaker-{mode} soak returned {report.wrong} wrong "
                 "answer(s) — a successful response diverged from "
                 "in-process predict"
             )
-    if fit_report is not None and not fit_report.ok:
-        reasons.append(
-            f"remote-fit soak outcome {fit_report.outcome!r} — the fit "
-            "completed with numbers that diverge from the local backend"
-        )
     return {
         "path": path,
         "reports": reports,
@@ -581,15 +408,6 @@ def render_chaos(path: str | Path) -> str:
     lines = []
     for record in payload["records"]:
         extra = record.get("extra", {})
-        if record["workload"] == "chaos_remote_fit":
-            lines.append(
-                f"{record['workload']}: seed={extra.get('seed')} "
-                f"workers={record['jobs']} n={record['n']} "
-                f"outcome={extra.get('outcome')} "
-                f"kills={extra.get('kills')} "
-                f"wall={record['wall_s']:.1f}s"
-            )
-            continue
         lines.append(
             f"{record['workload']}: seed={extra.get('seed')} "
             f"requests={record['n']} "

@@ -30,9 +30,9 @@ Fault kinds and where they bite:
 =============  =========================================================
 
 Sites are free-form dotted strings; the components document theirs
-(``server.assign``, ``server.stream``, ``server.score``,
-``client.request``, ``proxy.lane{n}.frame``, ``proxy.lane.version``,
-``backend.score``, ``backend.remote.dispatch``, ``chaos.process``). An injector with no matching event is a no-op, so
+(``server.assign``, ``server.stream``, ``client.request``,
+``proxy.lane{n}.frame``, ``proxy.lane.version``, ``backend.score``,
+``chaos.process``). An injector with no matching event is a no-op, so
 hooks cost one dict lookup on the hot path and nothing at all when no
 injector is configured.
 """

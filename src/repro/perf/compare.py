@@ -345,11 +345,6 @@ def backend_gate(
     dominates the arithmetic it ships, and a "regression" there would
     only measure IPC, not the backend.
 
-    ``backend_remote_fit`` records (the fleet ``POST /score`` ladder)
-    are surfaced as report-only notes: an HTTP hop per shard has a
-    correctness obligation (bit-identity, asserted while the record is
-    made) but no speedup one, so remote rows never fail the gate.
-
     Returns a report whose ``problems`` list is empty when the gate
     passes; ``repro bench compare`` exits nonzero otherwise.
     """
@@ -371,19 +366,6 @@ def backend_gate(
     rows: list[BackendGateRow] = []
     problems: list[str] = []
     notes: list[str] = []
-    for record in payload["records"]:
-        if record["workload"] == "backend_remote_fit":
-            local = locals_.get(record["n"])
-            ratio = (
-                float(record["rows_per_s"]) / local
-                if local is not None and local > 0
-                else float("nan")
-            )
-            notes.append(
-                f"n={record['n']:,}: remote targets={record['jobs']} at "
-                f"{ratio:.2f}x local (report-only — the /score HTTP hop "
-                "carries a bit-identity bar, not a speedup one)"
-            )
     if not mp_records:
         problems.append("no backend_multiprocess_fit records to gate on")
     for n in sorted(mp_records):

@@ -686,35 +686,19 @@ def bench_backend(
       single-process baseline the gate measures against);
     * ``backend_multiprocess_fit`` — the same fit through the
       :class:`~repro.backend.MultiprocessBackend` at each worker count
-      (the ``jobs`` column is the worker-*process* count);
-    * ``backend_remote_fit``       — the same fit again through the
-      :class:`~repro.backend.RemoteBackend` against ``jobs`` live
-      :class:`~repro.serving.server.AssignmentServer` processes-worth
-      of ``POST /score`` targets (in-process servers on ephemeral
-      ports, so the record measures the wire codec + HTTP hop, not
-      container spin-up).
+      (the ``jobs`` column is the worker-*process* count).
 
     The batch size is large (default 16384) so every batch shards into
     many per-worker scoring tasks — the section the backend
     parallelizes. Labels and centers are asserted bit-identical to the
-    local baseline at every worker count (the backend contract; for
-    remote, this is the bit-identity guarantee the ladder re-proves on
-    every bench run), and every record's ``extra`` carries the backend
-    name and the host's ``cpu_count`` —
-    :func:`repro.perf.compare.backend_gate` cannot hold the backend to
-    a speedup bar the hardware makes impossible. Remote rows are
-    report-only in the gate: an HTTP hop per shard has no speedup
-    obligation, only a correctness one.
+    local baseline at every worker count (the backend contract), and
+    every record's ``extra`` carries the backend name and the host's
+    ``cpu_count`` — :func:`repro.perf.compare.backend_gate` cannot hold
+    the backend to a speedup bar the hardware makes impossible.
     """
     import os
-    import tempfile
 
-    from ..api.config import RunConfig
-    from ..api.model import ClusterModel
-    from ..backend import RemoteBackend
     from ..core import MiniBatchFairKM
-    from ..serving.registry import ModelRegistry
-    from ..serving.server import AssignmentServer
 
     cpu_count = os.cpu_count() or 1
     records: list[BenchRecord] = []
@@ -764,56 +748,6 @@ def bench_backend(
                     },
                 )
             )
-        # The remote ladder: the same fit through live /score targets.
-        # The servers only need *a* published model to come up healthy;
-        # scoring is stateless per request, so a tiny kmeans artifact
-        # suffices and the registry is throwaway.
-        with tempfile.TemporaryDirectory(prefix="repro-bench-remote-") as tmp:
-            registry = ModelRegistry(Path(tmp) / "registry")
-            registry.publish(
-                ClusterModel(points[:k].copy(), RunConfig(method="kmeans", k=k)),
-                label="bench",
-            )
-            for j in workers:
-                servers = [
-                    AssignmentServer(registry=registry).start()
-                    for _ in range(int(j))
-                ]
-                try:
-                    targets = tuple(s.url for s in servers)
-
-                    def fit_remote(j=j, targets=targets):
-                        return MiniBatchFairKM(
-                            k, batch_size=batch_size, lambda_=lam, seed=0,
-                            max_iter=max_iter,
-                            backend=RemoteBackend(int(j), targets=targets),
-                        ).fit(points, categorical=cats, numeric=nums)
-
-                    wall, result = _timed(fit_remote, repeats)
-                finally:
-                    for s in servers:
-                        s.stop()
-                if not np.array_equal(result.labels, base.labels):
-                    raise AssertionError(
-                        f"remote targets={j} changed the labels"
-                    )
-                if not np.array_equal(result.centers, base.centers):
-                    raise AssertionError(
-                        f"remote targets={j} changed the centers"
-                    )
-                records.append(
-                    BenchRecord(
-                        "backend_remote_fit", n_real, k, int(j),
-                        wall, n_real * result.n_iter / wall if wall > 0 else 0.0,
-                        extra={
-                            "backend": "remote",
-                            "cpu_count": cpu_count,
-                            "n_iter": result.n_iter,
-                            "batch_size": batch_size,
-                            "targets": int(j),
-                        },
-                    )
-                )
     # speedup is measured against the single-process *local* fit, not
     # each workload's own jobs=1 record: the whole question the suite
     # answers is whether worker processes beat in-process scoring.

@@ -902,9 +902,8 @@ class FleetSupervisor:
                 "proxy_url": proxy_url,
                 "pid": os.getpid(),
                 "workers": [
-                    # "url" is what RemoteBackend.from_fleet_state reads;
-                    # recording it here is what makes a fleet a usable
-                    # set of training targets, not just serving workers.
+                    # "url" is the worker's own base URL, for tools that
+                    # reach one worker directly rather than via the proxy.
                     {
                         "index": w.index,
                         "port": w.port,

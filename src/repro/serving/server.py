@@ -15,12 +15,6 @@ hot behind four endpoints:
   socket*, the response is chunked back frame by frame, npy bodies are
   decoded as ``np.frombuffer`` views (no copy), and the stream header
   negotiates optional gzip/zstd compression and squared distances.
-* ``POST /score``   — score one training shard against frozen cluster
-  statistics (the remote-training data plane; see
-  :mod:`repro.serving.score`). A stream request carries the shard spec
-  and statistics, a stream response carries the ``(b, k)`` objective
-  delta matrix. Model-independent: a fleet worker scores fits for any
-  driver sharing its registry, whatever model it happens to serve.
 * ``GET /healthz``  — liveness + the serving model version.
 * ``GET /model``    — version, method, k, dimensions, artifact summary.
 * ``POST /reload``  — force re-resolution of the registry's ``LATEST``.
@@ -67,7 +61,6 @@ from ..obs.trace import PARENT_HEADER, TRACE_HEADER, TraceSink, get_sink, start_
 from . import wire
 from .registry import ModelRegistry, RegistryError
 from .resilience import DEADLINE_HEADER, Deadline
-from .score import ShardScorer, encode_score_response
 
 #: Environment variable carrying a fleet worker's index; the supervisor
 #: sets it at spawn so metrics and trace spans can name the worker.
@@ -382,27 +375,6 @@ class AssignmentServer(ConnectionTrackingServer):
             "repro_model_reloads_total",
             "Model reloads that changed the serving version.",
         )
-        self._m_score_latency = self.metrics.histogram(
-            "repro_score_latency_seconds",
-            "Wall time spent scoring one /score shard request.",
-            ("mode",),
-        )
-        self._m_score_rows = self.metrics.counter(
-            "repro_score_rows_total",
-            "Training rows scored by /score.",
-            ("mode",),
-        )
-        self._m_score_bytes = self.metrics.counter(
-            "repro_score_bytes_total",
-            "Request/response body bytes moved by /score.",
-            ("direction",),
-        )
-        # The remote-training scorer: stateless for inline shards, and
-        # (in registry mode) able to map worker-side data artifacts
-        # published under the same registry root the models live in.
-        self.scorer = ShardScorer(
-            artifact_root=self.registry.root if self.registry is not None else None
-        )
         if self.fault_injector is not None:
             self.metrics.register_collector(
                 obs_metrics.fault_collector(self.fault_injector)
@@ -668,7 +640,7 @@ class _TelemetryMixin:
     #: Paths kept as-is in the request-counter label; anything else is
     #: folded into ``other`` so scanners can't mint unbounded series.
     _METRIC_PATHS = frozenset(
-        {"/assign", "/score", "/healthz", "/model", "/reload", "/metrics"}
+        {"/assign", "/healthz", "/model", "/reload", "/metrics"}
     )
 
     def send_response(self, code: int, message: str | None = None) -> None:
@@ -840,8 +812,6 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
             if self.path == "/assign":
                 self.server.maybe_reload()
                 self._do_assign()
-            elif self.path == "/score":
-                self._do_score()
             elif self.path == "/reload":
                 body = self._read_body()  # drain so keep-alive stays in sync
                 changed = self.server.reload(
@@ -926,76 +896,6 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                 mode=mode,
                 rows=int(labels.shape[0]),
                 bytes_in=len(body),
-                bytes_out=len(payload),
-            )
-
-    def _do_score(self) -> None:
-        self._request_deadline()  # refuse spent budgets pre-allocation
-        span = start_span(
-            self.server.trace_sink,
-            "server.score",
-            getattr(self, "_trace_id", None),
-            getattr(self, "_parent_span", None),
-        )
-        if span is None:
-            self._score_work(None)
-            return
-        if self.server.worker_index:
-            span.set(worker=self.server.worker_index)
-        with span:
-            self._score_work(span)
-
-    def _score_work(self, span: Any) -> None:
-        """Score one training shard (see :mod:`repro.serving.score`).
-
-        The whole request is decoded before any response byte, so every
-        failure — malformed stream, unknown artifact, wrong shapes — is
-        a clean typed 400 and never a partial 200: a driver must be able
-        to trust that a 200 delta matrix is exact, because a silently
-        wrong shard would corrupt the fit without failing it.
-        """
-        start = time.perf_counter()
-        injector = self.server.fault_injector
-        if injector is not None:
-            event = injector.fire("server.score")  # sleeps through delays
-            if event is not None and event.kind in ("refuse", "disconnect"):
-                raise _InjectedSever()
-        content_type = self.headers.get("Content-Type", "")
-        if not content_type.startswith(STREAM_CONTENT_TYPE):
-            raise ServingError(
-                400, f"/score requires Content-Type {STREAM_CONTENT_TYPE}"
-            )
-        body = self._stream_body_reader()
-        try:
-            reader = wire.StreamReader(body.read, max_total_bytes=MAX_BODY_BYTES)
-            reader.read_header()
-            response_codec = wire.negotiate_codec(
-                reader.codec if reader.accept is None else reader.accept
-            )
-            frames = list(reader.frames())
-            deltas, meta = self.server.scorer.score(frames)
-        except wire.WireError as exc:
-            self._drain_body(body)
-            raise ServingError(400, f"invalid /score request: {exc}") from None
-        except Exception:
-            self._drain_body(body)
-            raise
-        self._drain_body(body)
-        payload = b"".join(encode_score_response(deltas, response_codec))
-        self._send(200, payload, STREAM_CONTENT_TYPE)
-        mode = str(meta.get("mode", "unknown"))
-        rows = int(deltas.shape[0])
-        server = self.server
-        server._m_score_latency.labels(mode=mode).observe(time.perf_counter() - start)
-        server._m_score_rows.labels(mode=mode).inc(float(rows))
-        server._m_score_bytes.labels(direction="in").inc(float(reader.total_bytes))
-        server._m_score_bytes.labels(direction="out").inc(float(len(payload)))
-        if span is not None:
-            span.set(
-                mode=mode,
-                rows=rows,
-                codec=response_codec,
-                bytes_in=reader.total_bytes,
                 bytes_out=len(payload),
             )
 

@@ -13,7 +13,6 @@ from repro.backend import (
     Backend,
     LocalBackend,
     MultiprocessBackend,
-    RemoteBackend,
     make_backend,
 )
 from repro.core import CategoricalSpec, MiniBatchFairKM, NumericSpec
@@ -101,7 +100,8 @@ def test_make_backend_resolves_every_registered_name():
     assert isinstance(make_backend(None), LocalBackend)
     assert isinstance(make_backend("local"), LocalBackend)
     assert isinstance(make_backend("multiprocess"), MultiprocessBackend)
-    assert isinstance(make_backend("remote"), RemoteBackend)
+    with pytest.raises(ValueError, match="remote training backend was removed.*'local' or"):
+        make_backend("remote")
     assert make_backend("local", 3).workers == 3
 
 
@@ -215,38 +215,3 @@ def test_fit_facade_threads_the_backend_through(tmp_path):
         sensitive=sensitive,
     )
     assert np.array_equal(base.centers, mp.centers)
-
-
-# --------------------------------------------------------------------- #
-# The remote backend (loopback mode; HTTP lives in test_remote.py)        #
-# --------------------------------------------------------------------- #
-
-
-def test_remote_loopback_fit_is_bit_identical_and_exercises_the_wire():
-    points, cats, nums, k = _problem(n=700)
-    local = MiniBatchFairKM(
-        k, batch_size=600, seed=0, max_iter=5, backend="local"
-    ).fit(points, categorical=cats, numeric=nums)
-    backend = RemoteBackend()
-    remote = MiniBatchFairKM(
-        k, batch_size=600, seed=0, max_iter=5, backend=backend
-    ).fit(points, categorical=cats, numeric=nums)
-    assert np.array_equal(local.labels, remote.labels)
-    assert np.array_equal(local.centers, remote.centers)
-    # Loopback really round-tripped shards through the serving codec.
-    assert backend.frames_encoded > 0
-    assert backend.bytes_encoded > 0
-
-
-def test_remote_plans_round_robin_from_its_targets():
-    backend = RemoteBackend(targets=("http://a:1", "http://b:2"))
-    shards = [np.arange(3), np.arange(3, 6), np.arange(6, 9)]
-    plan = backend.plan(shards)
-    assert [p["target"] for p in plan] == ["http://a:1", "http://b:2", "http://a:1"]
-    assert [p["rows"] for p in plan] == [3, 3, 3]
-    # Dispatch to a target outside the started placement is a typed
-    # backend error, not a silent re-route.
-    from repro.backend import BackendError
-
-    with pytest.raises(BackendError, match="unknown target"):
-        backend.dispatch("http://a:1", b"payload")
