@@ -29,7 +29,7 @@ def main() -> None:
     age = rng.normal(38, 9, n)
 
     # ----------------------------------------------------------------- #
-    # One RunConfig knob selects the backend; n_jobs stays the alias.    #
+    # RunConfig's backend and workers pick where training runs.         #
     # ----------------------------------------------------------------- #
     base = RunConfig(
         method="minibatch_fairkm", k=k, chunk_size=2048, max_iter=8, seed=0

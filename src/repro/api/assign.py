@@ -12,7 +12,7 @@ request size, which keeps throughput flat from thousands to millions of
 rows (``repro bench`` / ``benchmarks/bench_assign.py`` measure it).
 
 For very wide requests the chunks themselves are embarrassingly
-parallel: with ``n_jobs > 1`` they are fanned out across worker threads
+parallel: with ``workers > 1`` they are fanned out across worker threads
 (the per-chunk GEMM releases the GIL), each writing its disjoint slice
 of the preallocated output. The chunk partition and per-chunk
 arithmetic are identical to the serial path, so the labels are
@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ..cluster.distance import squared_norms
-from ..core.parallel import WorkerPool, resolve_n_jobs, run_tasks
+from ..core.parallel import WorkerPool
 
 #: Default serving chunk: big enough to saturate BLAS, small enough to
 #: keep the (chunk × k) distance block comfortably in cache/RAM.
@@ -43,9 +43,10 @@ class Assigner:
     Args:
         centers: cluster centers, shape ``(k, d)`` (non-sensitive
             features only).
-        n_jobs: default worker threads for :meth:`assign` (1 serial,
-            -1 one per CPU); per-call ``n_jobs=`` overrides. Labels are
-            bit-identical for every value.
+        workers: worker threads fanning :meth:`assign`'s chunks out
+            (``None``/1 serial, -1 or ``"auto"`` one per usable CPU),
+            fixed for the service's lifetime. Labels are bit-identical
+            for every value.
 
     Example:
         >>> import numpy as np
@@ -54,17 +55,16 @@ class Assigner:
         [0, 1]
     """
 
-    def __init__(self, centers: np.ndarray, *, n_jobs: int | None = None) -> None:
+    def __init__(self, centers: np.ndarray, *, workers: int | str | None = None) -> None:
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(f"centers must be a non-empty 2-D array, got {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
         self.centers = centers
-        # The service's own pool is reused across requests; a per-call
-        # n_jobs override runs on a transient pool instead.
-        self._pool = WorkerPool(n_jobs)
-        self.n_jobs = self._pool.n_jobs
+        # One pool, reused across requests.
+        self._pool = WorkerPool(workers)
+        self.workers = self._pool.workers
         # Kept as the same transposed view nearest_center's GEMM sees, so
         # chunked serving matches in-process predict bit for bit.
         self._centers_t = centers.T
@@ -120,7 +120,6 @@ class Assigner:
         points: np.ndarray,
         *,
         chunk_size: int | None = None,
-        n_jobs: int | None = None,
         return_distance: bool = False,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Label every row of *points* with its nearest center.
@@ -129,11 +128,9 @@ class Assigner:
             points: query matrix ``(n, d)`` (a single ``(d,)`` row is
                 promoted).
             chunk_size: rows scored per GEMM (default
-                :data:`DEFAULT_CHUNK_SIZE`).
-            n_jobs: worker threads fanning the chunks out for this call
-                (default: the constructor's ``n_jobs``). Chunks write
-                disjoint output slices, so labels are bit-identical to
-                the serial path.
+                :data:`DEFAULT_CHUNK_SIZE`). Chunks write disjoint
+                output slices, so labels are bit-identical at every
+                worker count.
             return_distance: also return the squared distance to the
                 assigned center.
 
@@ -143,7 +140,6 @@ class Assigner:
         """
         points = self._validated(points)
         chunk = self._chunk(chunk_size)
-        jobs = self.n_jobs if n_jobs is None else resolve_n_jobs(n_jobs)
         n = points.shape[0]
         labels = np.empty(n, dtype=np.int64)
         distances = np.empty(n, dtype=np.float64) if return_distance else None
@@ -153,10 +149,7 @@ class Assigner:
             ))
             for start in range(0, n, chunk)
         ]
-        if jobs == self.n_jobs:
-            self._pool.run(thunks)
-        else:
-            run_tasks(thunks, jobs)
+        self._pool.run(thunks)
         if distances is not None:
             return labels, distances
         return labels
@@ -224,7 +217,7 @@ def batched_assign(
     centers: np.ndarray,
     *,
     chunk_size: int | None = None,
-    n_jobs: int | None = None,
+    workers: int | str | None = None,
 ) -> np.ndarray:
     """One-shot convenience wrapper around :class:`Assigner`."""
-    return Assigner(centers, n_jobs=n_jobs).assign(points, chunk_size=chunk_size)
+    return Assigner(centers, workers=workers).assign(points, chunk_size=chunk_size)

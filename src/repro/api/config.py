@@ -41,26 +41,17 @@ class RunConfig:
         engine: FairKM sweep strategy (one of :data:`ENGINES`).
         chunk_size: chunk size of the chunked engine; doubles as the
             mini-batch size. ``None`` keeps the engine default.
-        n_jobs: worker threads for the parallel hot paths (chunked /
-            mini-batch sweep scoring and batch assignment): 1 serial
-            (default), -1 one per CPU. Results are bit-identical for
-            every value — the knob only trades wall-clock. A
-            host-execution knob: ``ClusterModel.save`` does not persist
-            it, so loaded artifacts serve serially unless the host
-            passes ``assign(n_jobs=...)`` explicitly. For training it
-            is the backward-compatible alias of the execution spec:
-            ``workers`` inherits it when unset.
         backend: training execution backend (one of :data:`BACKENDS`):
             ``"local"`` scores in a thread pool (default),
             ``"multiprocess"`` in worker processes over one
             shared-memory data placement (bit-identical results at
-            every worker count). A host-execution knob like ``n_jobs``
-            — not persisted by ``ClusterModel.save``.
-        workers: worker count for *backend* — an integer >= 1, -1 or
-            ``"auto"`` (one per usable CPU, honoring the
-            ``REPRO_CORE_BUDGET`` env cap); ``None`` (default) inherits
-            ``n_jobs``. Results are bit-identical for every value. Not
-            persisted by ``ClusterModel.save``.
+            every worker count). A host-execution knob, not persisted
+            by ``ClusterModel.save``.
+        workers: training worker count for *backend* — an integer
+            >= 1 (default 1, serial), -1 or ``"auto"`` (one per usable
+            CPU, honoring the ``REPRO_CORE_BUDGET`` env cap). Results
+            are bit-identical for every value — the knob only trades
+            wall-clock. Not persisted by ``ClusterModel.save``.
         seed: RNG seed (one fit is fully deterministic given the seed).
         scale_features: z-score numeric features when fitting from a
             ``Dataset`` (True for Adult; False for embedding spaces).
@@ -74,16 +65,21 @@ class RunConfig:
     max_iter: int = 30
     engine: str = "sequential"
     chunk_size: int | None = None
-    n_jobs: int = 1
     backend: str = "local"
-    workers: int | str | None = None
+    workers: int | str = 1
     seed: int = 0
     scale_features: bool = True
     sensitive: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        from ..core.parallel import as_integral, validate_workers
+
         if not self.method or not isinstance(self.method, str):
             raise ValueError(f"method must be a non-empty string, got {self.method!r}")
+        for name in ("k", "max_iter", "seed"):
+            object.__setattr__(self, name, as_integral(getattr(self, name), name))
+        if self.chunk_size is not None:
+            object.__setattr__(self, "chunk_size", as_integral(self.chunk_size, "chunk_size"))
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if isinstance(self.lambda_, str):
@@ -97,24 +93,15 @@ class RunConfig:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size}")
-        from ..core.parallel import validate_n_jobs, validate_workers
-
-        validate_n_jobs(self.n_jobs)
         if self.backend == "remote":
             from ..backend import REMOTE_REMOVED
 
             raise ValueError(REMOTE_REMOVED)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.workers is not None:
-            validate_workers(self.workers, field="workers")
+        object.__setattr__(self, "workers", validate_workers(self.workers))
         if self.sensitive is not None:
             object.__setattr__(self, "sensitive", tuple(str(s) for s in self.sensitive))
-
-    @property
-    def effective_workers(self) -> int | str:
-        """Training worker spec: ``workers``, or its ``n_jobs`` alias."""
-        return self.workers if self.workers is not None else self.n_jobs
 
     # ------------------------------------------------------------------ #
     # JSON round trip                                                     #
@@ -133,13 +120,18 @@ class RunConfig:
 
         Configs written while the remote backend existed carry
         ``"targets": null``, which is dropped; fleet URLs in it raise
-        the removal error.
+        the removal error. Configs written while the worker count had a
+        second name carry an ``n_jobs`` key, which sets ``workers``
+        when that is absent or ``null``.
         """
         data = dict(data)
         if data.pop("targets", None):
             from ..backend import REMOTE_REMOVED
 
             raise ValueError(REMOTE_REMOVED)
+        legacy_workers = data.pop("n_jobs", None)
+        if data.get("workers") is None and legacy_workers is not None:
+            data["workers"] = legacy_workers
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -115,12 +115,12 @@ class ClusterModel:
     def assigner(self) -> Assigner:
         """The lazily-built batch-assignment service for these centers.
 
-        Built with the config's ``n_jobs`` so repeated ``assign`` calls
-        at that worker count reuse one pool instead of spawning
-        transient executors per request.
+        Serial (one worker) whether the model was just fitted or loaded
+        from disk; a host that wants more threads builds its own
+        ``Assigner(model.centers, workers=...)``.
         """
         if self._assigner is None:
-            self._assigner = Assigner(self.centers, n_jobs=self.config.n_jobs)
+            self._assigner = Assigner(self.centers)
         return self._assigner
 
     def assign(
@@ -128,20 +128,16 @@ class ClusterModel:
         points: np.ndarray,
         *,
         chunk_size: int | None = None,
-        n_jobs: int | None = None,
         return_distance: bool = False,
     ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Batch-assign *points* to their nearest center (S-blind).
 
         Identical to the in-process ``predict`` of the estimator that
         produced this artifact; see :meth:`Assigner.assign` for the
-        chunking and worker-thread knobs (``n_jobs`` defaults to the
-        embedded config's value).
+        chunking knob.
         """
-        if n_jobs is None:
-            n_jobs = self.config.n_jobs
         return self.assigner.assign(
-            points, chunk_size=chunk_size, n_jobs=n_jobs, return_distance=return_distance
+            points, chunk_size=chunk_size, return_distance=return_distance
         )
 
     def assign_iter(
@@ -170,16 +166,13 @@ class ClusterModel:
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
-        # n_jobs / backend / workers are host-execution knobs, not part
-        # of the model's identity: persisting them would change the v1
-        # config wire format (older strict readers reject unknown keys)
-        # and leak the training box's core count into serving defaults.
-        # Loaded artifacts therefore always carry the serial defaults;
-        # serving hosts opt into parallelism via assign(n_jobs=...).
+        # backend / workers are host-execution knobs, not part of the
+        # model's identity: persisting them would change the v1 config
+        # wire format (older strict readers reject unknown keys) and
+        # leak the training box's core count into serving hosts.
         config = self.config.to_dict()
-        config.pop("n_jobs", None)
-        config.pop("backend", None)
-        config.pop("workers", None)
+        config.pop("backend")
+        config.pop("workers")
         payload = {
             "format": ARTIFACT_FORMAT,
             "version": self.version,

@@ -109,7 +109,6 @@ register_method(
         max_iter=cfg.max_iter,
         engine=cfg.engine,
         chunk_size=cfg.chunk_size,
-        n_jobs=cfg.n_jobs,
         seed=cfg.seed,
         backend=cfg.backend,
         workers=cfg.workers,
@@ -122,7 +121,6 @@ register_method(
         batch_size=cfg.chunk_size or 256,
         lambda_=cfg.lambda_,
         max_iter=cfg.max_iter,
-        n_jobs=cfg.n_jobs,
         seed=cfg.seed,
         backend=cfg.backend,
         workers=cfg.workers,

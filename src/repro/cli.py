@@ -12,7 +12,7 @@ Subcommands::
     repro fleet rollout --registry registry/ --version v0007
     repro paper table5 --seeds 5 --engine chunked
     repro paper list
-    repro bench --smoke --jobs 2
+    repro bench --smoke --workers 2
     repro bench compare old/BENCH_assign.json results/BENCH_assign.json
 
 ``repro fit`` / ``repro predict`` are the train-once / assign-many
@@ -21,9 +21,6 @@ artifact, ``predict`` serves batched S-blind assignment from it. All
 knobs travel through :class:`~repro.api.RunConfig` (``--config run.json``
 loads one; explicit flags override it) — the process environment is
 never mutated; ``REPRO_*`` variables are read as defaults only.
-
-The pre-subcommand spellings (``repro table5``, ``repro all``,
-``repro list``) keep working as deprecated aliases for ``repro paper``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .api import BACKENDS, ENGINES, ClusterModel, METHOD_REGISTRY, RunConfig
+from .api import BACKENDS, ENGINES, Assigner, ClusterModel, METHOD_REGISTRY, RunConfig
 from .api import fit as api_fit
 from .experiments.paper import EXPERIMENTS, BenchSettings, bench_scale
 
@@ -55,16 +52,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def jobs_value(text: str) -> int:
-    """argparse type: worker count — a positive integer or -1 (per CPU)."""
-    from .core.parallel import validate_n_jobs
-
-    try:
-        return validate_n_jobs(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def workers_value(text: str) -> int | str:
     """argparse type: worker count — a positive integer, -1, or 'auto'."""
     from .core.parallel import validate_workers
@@ -76,7 +63,7 @@ def workers_value(text: str) -> int | str:
             f'workers must be a positive integer, -1, or "auto", got {text!r}'
         ) from None
     try:
-        return validate_workers(value, field="workers")
+        return validate_workers(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -158,11 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunk size of the chunked engine / batch size of minibatch",
     )
     p_fit.add_argument(
-        "--jobs", type=jobs_value, default=None,
-        help="worker threads for the parallel scoring paths (default 1; "
-        "-1 = one per CPU; results are identical for every value)",
-    )
-    p_fit.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="training execution backend: 'local' (thread pool, default), "
         "'multiprocess' (worker processes over shared memory; bit-identical "
@@ -170,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--workers", type=workers_value, default=None,
-        help="worker count for --backend (positive int, -1 or 'auto' = one "
-        "per usable CPU; default: inherit --jobs)",
+        help="worker count for --backend (default 1; -1 or 'auto' = one "
+        "per usable CPU; results are identical for every value)",
     )
     p_fit.add_argument("--max-iter", type=positive_int, default=None)
     p_fit.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
@@ -213,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows scored per batch (default 8192)",
     )
     p_pred.add_argument(
-        "--jobs", type=jobs_value, default=None,
-        help="worker threads fanning assignment chunks out "
-        "(default: the model config's n_jobs; labels identical for every value)",
+        "--workers", type=workers_value, default=None,
+        help="worker threads fanning assignment chunks out (default 1; "
+        "-1 or 'auto' = one per usable CPU; labels identical for every value)",
     )
     p_pred.add_argument(
         "--out", "-o", type=Path, default=None,
@@ -235,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     # ----------------------------------------------------------- paper #
     p_paper = sub.add_parser(
         "paper",
-        help="regenerate paper tables/figures (also: repro tableN aliases)",
+        help="regenerate paper tables/figures",
         description="Regenerate tables/figures from the paper. Output is "
         "printed and written under results/.",
     )
@@ -282,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="small sizes for CI (seconds, not minutes)",
     )
     p_bench.add_argument(
-        "--jobs", type=jobs_value, default=4,
+        "--workers", type=workers_value, default=4,
         help="top of the worker-count ladder 1,2,4,... (default 4)",
     )
     p_bench.add_argument(
@@ -380,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(co-located clients skip the TCP stack entirely)",
     )
     p_serve.add_argument(
-        "--jobs", type=jobs_value, default=None,
-        help="worker threads per assignment call (labels identical for "
-        "every value)",
+        "--workers", type=workers_value, default=None,
+        help="worker threads per assignment call (default 1; labels "
+        "identical for every value)",
     )
     p_serve.add_argument(
         "--chunk-size", type=positive_int, default=None,
@@ -436,10 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8100,
         help="proxy port fronting the fleet (0 picks an ephemeral port; "
         "default 8100); workers get ephemeral ports of their own",
-    )
-    p_up.add_argument(
-        "--jobs", type=jobs_value, default=None,
-        help="worker threads per assignment call inside each process",
     )
     p_up.add_argument(
         "--chunk-size", type=positive_int, default=None,
@@ -648,7 +626,6 @@ def _cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         lambda_=args.lambda_,
         engine=args.engine,
         chunk_size=args.chunk_size,
-        n_jobs=args.jobs,
         backend=args.backend,
         workers=args.workers,
         max_iter=args.max_iter,
@@ -700,7 +677,8 @@ def _cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     else:
         points, _ = load_points_file(args.data)
     start = time.perf_counter()
-    labels = model.assign(points, chunk_size=args.chunk_size, n_jobs=args.jobs)
+    assigner = Assigner(model.centers, workers=args.workers)
+    labels = assigner.assign(points, chunk_size=args.chunk_size)
     elapsed = time.perf_counter() - start
     counts = np.bincount(labels, minlength=model.k)
     rate = labels.size / elapsed if elapsed > 0 else float("inf")
@@ -768,7 +746,7 @@ def _cmd_paper(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     import json
 
-    from .core.parallel import resolve_n_jobs
+    from .core.parallel import resolve_workers
     from .perf.harness import render_bench, run_bench, validate_bench
 
     if args.suite == "compare":
@@ -781,7 +759,7 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     written = run_bench(
         args.suite,
         smoke=args.smoke,
-        max_jobs=resolve_n_jobs(args.jobs),
+        max_jobs=resolve_workers(args.workers),
         out_dir=args.out,
         repeats=args.repeats,
     )
@@ -876,7 +854,7 @@ def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             host=args.host,
             port=args.port,
             uds=args.uds,
-            n_jobs=args.jobs,
+            workers=args.workers,
             chunk_size=args.chunk_size,
             follow=not args.no_follow,
             pin_version=args.pin,
@@ -933,7 +911,6 @@ def _fleet_up(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         args.registry,
         workers=args.workers,
         host=args.host,
-        n_jobs=args.jobs,
         chunk_size=args.chunk_size,
         state_dir=args.state_dir,
         probe_rows=args.probe_rows,
@@ -1300,33 +1277,7 @@ _COMMANDS = {
     "trace": _cmd_trace,
 }
 
-#: Pre-subcommand spellings still accepted at the front of argv.
-_LEGACY_EXPERIMENT_TOKENS = frozenset([*EXPERIMENTS, "all", "list"])
-
-
-def _rewrite_legacy_argv(argv: list[str]) -> list[str]:
-    """Route pre-subcommand spellings to ``repro paper ...``.
-
-    The old single-parser CLI allowed options before the experiment
-    (``repro --seeds 5 table6``), so any invocation that is not already
-    a subcommand but mentions an experiment token gets the ``paper``
-    prefix.
-    """
-    if not argv or argv[0] in _COMMANDS:
-        return argv
-    legacy = next((tok for tok in argv if tok in _LEGACY_EXPERIMENT_TOKENS), None)
-    if legacy is None:
-        return argv
-    if legacy != "list":
-        print(
-            f"note: 'repro {legacy}' is deprecated; use 'repro paper {legacy}'",
-            file=sys.stderr,
-        )
-    return ["paper", *argv]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = _rewrite_legacy_argv(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

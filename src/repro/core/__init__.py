@@ -46,7 +46,7 @@ from .objective import (
     kmeans_term,
     numeric_deviation,
 )
-from .parallel import FrozenScoringView, WorkerPool, ordered_map, resolve_n_jobs
+from .parallel import FrozenScoringView, WorkerPool
 from .protocol import ClusteringEstimator, EstimatorMixin, NotFittedError
 from .state import ClusterState
 
@@ -78,9 +78,7 @@ __all__ = [
     "make_sweep",
     "normalize_sensitive",
     "numeric_deviation",
-    "ordered_map",
     "resolve_lambda",
-    "resolve_n_jobs",
     "single_categorical",
     "validate_specs",
 ]

@@ -43,7 +43,7 @@ from ..obs.metrics import record_fit_sweep
 from .attributes import CategoricalSpec, NumericSpec
 from .config import FairKMConfig, FairKMResult
 from .lambda_heuristic import resolve_lambda
-from .parallel import resolve_n_jobs, resolve_workers
+from .parallel import resolve_workers
 from .state import ClusterState
 
 
@@ -149,7 +149,7 @@ class ChunkedSweep(SweepStrategy):
     the rows still pending in its window, so bounding the expected moves
     per window bounds the repair work.
 
-    With ``n_jobs > 1`` the sweep prefetches: groups of
+    With ``workers > 1`` the sweep prefetches: groups of
     :data:`PREFETCH_WINDOWS` windows are scored concurrently against the
     frozen statistics (NumPy's GEMMs release the GIL), then the group is
     scanned serially, one window at a time, with the same per-move
@@ -167,14 +167,14 @@ class ChunkedSweep(SweepStrategy):
         chunk_size: maximum objects scored per vectorized batch call.
         dense_threshold: realized move rate above which the rest of a
             sweep runs the sequential inner loop instead of chunk scoring.
-        n_jobs: worker threads scoring windows concurrently (``1``
-            serial, ``-1`` one per CPU). Decisions are identical for
-            every value.
+        workers: worker threads scoring windows concurrently (``1``
+            serial, ``-1`` or ``"auto"`` one per usable CPU). Decisions
+            are identical for every value.
         backend: execution backend scoring the window groups — a
             :class:`repro.backend.Backend` instance, a name for
             :func:`repro.backend.make_backend`, or ``None`` for the
             default thread-pool :class:`~repro.backend.LocalBackend`
-            at ``n_jobs`` width. Decisions are identical for every
+            at ``workers`` width. Decisions are identical for every
             backend (see ``tests/backend/``).
     """
 
@@ -186,7 +186,7 @@ class ChunkedSweep(SweepStrategy):
     #: overhead of ``batch_move_deltas`` dominates.
     MIN_WINDOW = 32
     #: Windows scored ahead per parallel round. Fixed (never derived
-    #: from ``n_jobs``) so the task partition — and therefore every
+    #: from ``workers``) so the task partition — and therefore every
     #: computed array — is identical for every worker count.
     PREFETCH_WINDOWS = 8
 
@@ -194,7 +194,7 @@ class ChunkedSweep(SweepStrategy):
         self,
         chunk_size: int = 256,
         dense_threshold: float = 0.4,
-        n_jobs: int = 1,
+        workers: int | str | None = 1,
         backend=None,
     ) -> None:
         super().__init__()
@@ -206,9 +206,7 @@ class ChunkedSweep(SweepStrategy):
             )
         self.chunk_size = int(chunk_size)
         self.dense_threshold = float(dense_threshold)
-        self.backend = _resolve_backend(backend, resolve_n_jobs(n_jobs))
-        #: Mirrors the backend's worker width (kept for compatibility).
-        self.n_jobs = self.backend.workers
+        self.backend = _resolve_backend(backend, resolve_workers(workers))
         self._sequential = SequentialSweep()
         self._prev_rate: float | None = None
 
@@ -236,7 +234,6 @@ class ChunkedSweep(SweepStrategy):
         stats = {
             "mode": "chunked",
             "window": window,
-            "n_jobs": self.n_jobs,
             "backend": self.backend.name,
             "workers": self.backend.workers,
             "scoring_s": 0.0,
@@ -340,7 +337,7 @@ class MiniBatchSweep(SweepStrategy):
     stale within the batch — that is the approximation), then the caches
     are rebuilt once.
 
-    With ``n_jobs > 1`` the frozen-snapshot scoring of each batch is
+    With ``workers > 1`` the frozen-snapshot scoring of each batch is
     *sharded*: the execution backend scores fixed-size shards of the
     batch concurrently against the frozen statistics (threads by
     default; worker processes over a shared-memory data placement with
@@ -361,14 +358,14 @@ class MiniBatchSweep(SweepStrategy):
     #: Maximum shards per batch (bounds per-batch task overhead).
     MAX_SHARDS = 8
 
-    def __init__(self, batch_size: int = 256, n_jobs: int | None = 1, backend=None) -> None:
+    def __init__(
+        self, batch_size: int = 256, workers: int | str | None = 1, backend=None
+    ) -> None:
         super().__init__()
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = int(batch_size)
-        self.backend = _resolve_backend(backend, resolve_n_jobs(n_jobs))
-        #: Mirrors the backend's worker width (kept for compatibility).
-        self.n_jobs = self.backend.workers
+        self.backend = _resolve_backend(backend, resolve_workers(workers))
         self._shards = 0
 
     def reset(self) -> None:
@@ -380,7 +377,7 @@ class MiniBatchSweep(SweepStrategy):
 
         The shard partition depends only on the batch size — a batch
         wider than one shard is scored shard-by-shard even at
-        ``n_jobs=1`` — so every worker count and backend performs the
+        ``workers=1`` — so every worker count and backend performs the
         identical per-shard calls and bit-identity is structural, not
         an assumption about BLAS reductions being shape-independent.
         """
@@ -399,7 +396,6 @@ class MiniBatchSweep(SweepStrategy):
         stats = {
             "mode": "minibatch",
             "batch_size": self.batch_size,
-            "n_jobs": self.n_jobs,
             "backend": self.backend.name,
             "workers": self.backend.workers,
             "scoring_s": 0.0,
@@ -450,7 +446,7 @@ def make_sweep(
     engine: str | SweepStrategy,
     *,
     chunk_size: int | None = None,
-    n_jobs: int | None = None,
+    workers: int | str | None = None,
     backend=None,
 ) -> SweepStrategy:
     """Resolve an ``engine`` argument into a :class:`SweepStrategy`.
@@ -462,7 +458,7 @@ def make_sweep(
             size for ``"minibatch"``. ``None`` keeps each strategy's
             default. Rejected alongside a strategy *instance* — the
             instance already carries its own sizing.
-        n_jobs: scoring worker count for the ``"chunked"`` and
+        workers: scoring worker count for the ``"chunked"`` and
             ``"minibatch"`` strategies (``None``/1 serial, -1 or
             ``"auto"`` one per usable CPU). Ignored by
             ``"sequential"``, whose decision loop is inherently serial;
@@ -474,23 +470,23 @@ def make_sweep(
             rejected alongside a strategy instance.
     """
     if isinstance(engine, SweepStrategy):
-        if chunk_size is not None or n_jobs is not None or backend is not None:
+        if chunk_size is not None or workers is not None or backend is not None:
             raise ValueError(
-                "chunk_size/n_jobs/backend cannot be combined with a "
+                "chunk_size/workers/backend cannot be combined with a "
                 "SweepStrategy instance; configure the instance directly"
             )
         return engine
-    jobs = resolve_workers(n_jobs, field="n_jobs")
+    workers = resolve_workers(workers)
     if engine == SequentialSweep.name:
         return SequentialSweep()
     if engine == ChunkedSweep.name:
         if chunk_size is None:
-            return ChunkedSweep(n_jobs=jobs, backend=backend)
-        return ChunkedSweep(chunk_size, n_jobs=jobs, backend=backend)
+            return ChunkedSweep(workers=workers, backend=backend)
+        return ChunkedSweep(chunk_size, workers=workers, backend=backend)
     if engine == MiniBatchSweep.name:
         if chunk_size is None:
-            return MiniBatchSweep(n_jobs=jobs, backend=backend)
-        return MiniBatchSweep(chunk_size, n_jobs=jobs, backend=backend)
+            return MiniBatchSweep(workers=workers, backend=backend)
+        return MiniBatchSweep(chunk_size, workers=workers, backend=backend)
     raise ValueError(
         f"unknown engine {engine!r}; expected one of {sorted(SWEEP_STRATEGIES)} "
         "or a SweepStrategy instance"

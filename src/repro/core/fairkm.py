@@ -66,18 +66,15 @@ class FairKM(EstimatorMixin):
         chunk_size: chunk size of the ``"chunked"`` engine (doubles as
             the batch size of ``"minibatch"``); ``None`` keeps the
             strategy default.
-        n_jobs: worker threads for the parallel scoring paths of the
-            ``"chunked"`` and ``"minibatch"`` engines (1 serial, -1 one
-            per CPU). Results are identical for every value; ignored by
-            ``"sequential"``.
-        backend: execution backend for those parallel scoring paths —
+        backend: execution backend for the parallel scoring paths of
+            the ``"chunked"`` and ``"minibatch"`` engines —
             ``"local"`` (thread pool, default), ``"multiprocess"``
             (worker processes over a shared-memory data placement;
             bit-identical results), or a :class:`repro.backend.Backend`
             instance. Ignored by ``"sequential"``.
-        workers: worker count for *backend* (int >= 1, -1 or
-            ``"auto"`` for one per usable CPU); ``None`` inherits
-            ``n_jobs``. Results are identical for every value.
+        workers: worker count for *backend* (``None``/1 serial, -1 or
+            ``"auto"`` one per usable CPU). Results are identical for
+            every value; ignored by ``"sequential"``.
         seed: RNG seed or generator for initialization and shuffling.
     """
 
@@ -94,7 +91,6 @@ class FairKM(EstimatorMixin):
         resync_every: int = 1,
         engine: str | SweepStrategy = "sequential",
         chunk_size: int | None = None,
-        n_jobs: int | None = None,
         backend: str | None = None,
         workers: int | str | None = None,
         seed: int | np.random.Generator | None = None,
@@ -112,7 +108,7 @@ class FairKM(EstimatorMixin):
         self.sweep = make_sweep(
             engine,
             chunk_size=chunk_size,
-            n_jobs=workers if workers is not None else n_jobs,
+            workers=workers,
             backend=backend,
         )
         self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

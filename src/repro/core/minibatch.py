@@ -52,7 +52,6 @@ class MiniBatchFairKM(FairKM):
         allow_empty: bool = True,
         shuffle: bool = True,
         resync_every: int = 1,
-        n_jobs: int | None = None,
         backend: str | None = None,
         workers: int | str | None = None,
         seed: int | np.random.Generator | None = None,
@@ -71,7 +70,6 @@ class MiniBatchFairKM(FairKM):
             resync_every=resync_every,
             engine=MiniBatchSweep.name,
             chunk_size=self.batch_size,
-            n_jobs=n_jobs,
             backend=backend,
             workers=workers,
             seed=seed,

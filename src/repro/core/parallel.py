@@ -11,7 +11,7 @@ for no gain.
 
 Two invariants this module enforces:
 
-* **Determinism** — :func:`ordered_map` returns results in task order
+* **Determinism** — :meth:`WorkerPool.map` returns results in task order
   regardless of completion order or worker count, so a parallel caller
   computes exactly the arrays a serial caller would (the *partitioning*
   of work into tasks is the caller's job and must not depend on the
@@ -61,69 +61,57 @@ def core_budget() -> int:
     return cores
 
 
-def validate_workers(
-    value: int | str | None, *, field: str = "workers", allow_auto: bool = True
-) -> int | str:
+def as_integral(value: Any, field: str) -> int:
+    """*value* as an ``int``, refusing bools, strings and fractions.
+
+    The one integral-count check behind every count knob (worker
+    counts here, ``k`` / ``max_iter`` / ``chunk_size`` / ``seed`` in
+    :class:`repro.api.RunConfig`). Errors name *field*.
+    """
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    if as_int != value:  # rejects non-integral floats like 2.5
+        raise ValueError(f"{field} must be an integral count, got {value!r}")
+    return as_int
+
+
+def validate_workers(value: int | str | None, *, field: str = "workers") -> int | str:
     """Check a worker-count knob without resolving ``-1``/``"auto"``.
 
     The single definition of the domain — an integral count >= 1, -1
-    (one worker per usable CPU), or, when *allow_auto*, the string
-    ``"auto"`` (same meaning as -1) — shared by ``n_jobs``, the backend
-    execution spec, and the CLI. ``None`` normalizes to 1 (serial).
-    Error messages name *field* so config validation points at the
-    offending key.
+    or ``"auto"`` (both: one worker per usable CPU) — shared by the
+    sweeps, the backends, the ``Assigner`` and the CLI. ``None``
+    normalizes to 1 (serial). Error messages name *field* so config
+    validation points at the offending key.
     """
-    domain = 'a positive integer, -1, or "auto"' if allow_auto else "a positive integer or -1"
+    domain = 'a positive integer, -1, or "auto"'
     if value is None:
         return 1
     if isinstance(value, str):
-        if allow_auto and value == "auto":
+        if value == "auto":
             return "auto"
         raise ValueError(f"{field} must be {domain}, got {value!r}")
-    if isinstance(value, bool):
-        raise ValueError(f"{field} must be {domain}, got {value!r}")
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be {domain}, got {value!r}") from None
-    if as_int != value:  # rejects non-integral floats like 2.5
-        raise ValueError(f"{field} must be an integral count, got {value!r}")
+    as_int = as_integral(value, field)
     if as_int != -1 and as_int < 1:
         raise ValueError(f"{field} must be {domain}, got {as_int}")
     return as_int
 
 
-def resolve_workers(
-    value: int | str | None, *, field: str = "workers", allow_auto: bool = True
-) -> int:
+def resolve_workers(value: int | str | None) -> int:
     """Normalize a worker-count knob to a concrete count.
 
     ``None`` and ``1`` mean serial; ``-1`` and ``"auto"`` mean one
     worker per usable CPU (:func:`core_budget`, which honors
     ``$REPRO_CORE_BUDGET``); any other positive integer is literal.
     """
-    value = validate_workers(value, field=field, allow_auto=allow_auto)
+    value = validate_workers(value)
     if value == "auto" or value == -1:
         return core_budget()
     return int(value)
-
-
-def validate_n_jobs(n_jobs: int | None) -> int:
-    """Check an ``n_jobs`` knob without resolving -1.
-
-    Thin wrapper over :func:`validate_workers` (the shared domain
-    check) keeping the historical ``n_jobs`` spelling in errors.
-    """
-    return int(validate_workers(n_jobs, field="n_jobs", allow_auto=False))
-
-
-def resolve_n_jobs(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` knob to a concrete worker count.
-
-    ``None`` and ``1`` mean serial; ``-1`` means one worker per usable
-    CPU; any other positive integer is taken literally.
-    """
-    return resolve_workers(n_jobs, field="n_jobs", allow_auto=False)
 
 
 class WorkerPool:
@@ -135,22 +123,22 @@ class WorkerPool:
     The pool therefore creates its executor lazily on the first
     genuinely parallel dispatch and keeps it for the owner's lifetime
     (sweep strategies and ``Assigner`` instances each own one);
-    ``n_jobs <= 1`` owners never start a thread.
+    ``workers <= 1`` owners never start a thread.
 
     Serial fallbacks (one worker, or fewer than two tasks) run inline
     on the calling thread, so callers use one code path for both modes.
     """
 
-    __slots__ = ("n_jobs", "_executor")
+    __slots__ = ("workers", "_executor")
 
-    def __init__(self, n_jobs: int | None) -> None:
+    def __init__(self, workers: int | str | None) -> None:
         # Set before resolving so __del__ is safe when validation raises.
         self._executor: ThreadPoolExecutor | None = None
-        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.workers = resolve_workers(workers)
 
     def _pool(self) -> ThreadPoolExecutor:
         if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.n_jobs)
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
@@ -158,7 +146,7 @@ class WorkerPool:
 
         The first worker exception propagates.
         """
-        if self.n_jobs <= 1 or len(tasks) < 2:
+        if self.workers <= 1 or len(tasks) < 2:
             return [fn(task) for task in tasks]
         return list(self._pool().map(fn, tasks))
 
@@ -169,7 +157,7 @@ class WorkerPool:
         output array; ordering is irrelevant, exceptions propagate.
         """
         thunks = list(thunks)
-        if self.n_jobs <= 1 or len(thunks) < 2:
+        if self.workers <= 1 or len(thunks) < 2:
             for thunk in thunks:
                 thunk()
             return
@@ -185,28 +173,6 @@ class WorkerPool:
 
     def __del__(self) -> None:  # pragma: no cover - gc timing
         self.shutdown()
-
-
-def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], n_jobs: int) -> list[R]:
-    """One-shot :meth:`WorkerPool.map` with a transient pool.
-
-    For single dispatches; hot loops should hold a :class:`WorkerPool`
-    so the executor is reused across rounds.
-    """
-    pool = WorkerPool(n_jobs)
-    try:
-        return pool.map(fn, tasks)
-    finally:
-        pool.shutdown()
-
-
-def run_tasks(thunks: Iterable[Callable[[], Any]], n_jobs: int) -> None:
-    """One-shot :meth:`WorkerPool.run` with a transient pool."""
-    pool = WorkerPool(n_jobs)
-    try:
-        pool.run(thunks)
-    finally:
-        pool.shutdown()
 
 
 class FrozenScoringView:

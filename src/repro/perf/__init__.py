@@ -10,8 +10,8 @@ regressions and gates fleet and training-backend scaling
 (``repro bench compare``, nonzero exit for CI);
 :mod:`repro.perf.actions` fetches the previous CI run's bench artifact
 so the gate tracks the real trajectory instead of same-run noise.
-``repro bench`` is the CLI entry point; ``benchmarks/harness.py`` is
-the standalone wrapper.
+``repro bench`` (or ``python -m repro bench``, which needs no install)
+is the entry point.
 """
 
 from .actions import DEFAULT_ARTIFACT_NAME, fetch_baseline, select_artifact

@@ -29,7 +29,7 @@ Three suites ship today:
   (and a large-batch mini-batch fit) across worker counts; alongside
   end-to-end fit wall-clock it emits a ``*_scoring`` workload whose
   wall is the summed frozen-window scoring time from
-  ``FairKMResult.diagnostics`` — exactly the section ``n_jobs``
+  ``FairKMResult.diagnostics`` — exactly the section ``workers``
   parallelizes (the first sweep of every fit runs the serial loop by
   design, so Amdahl caps the end-to-end number).
 * **assign** — the serving hot loop: ``Assigner.assign`` rows/s across
@@ -61,8 +61,8 @@ Three suites ship today:
   scaling gate (:func:`repro.perf.compare.backend_gate`) knows what
   the hardware allows.
 
-Entry points: ``repro bench`` (CLI) and ``benchmarks/harness.py``
-(standalone script).
+Entry point: ``repro bench`` (``python -m repro bench`` without an
+install).
 """
 
 from __future__ import annotations
@@ -280,14 +280,14 @@ def bench_engine(
             wall, result = _timed(
                 lambda: FairKM(
                     k, lambda_=lam, seed=0, max_iter=max_iter,
-                    engine="chunked", n_jobs=j,
+                    engine="chunked", workers=j,
                 ).fit(points, categorical=cats, numeric=nums),
                 repeats,
             )
             if "chunked" not in baseline_labels:
                 baseline_labels["chunked"] = result.labels
             elif not np.array_equal(result.labels, baseline_labels["chunked"]):
-                raise AssertionError(f"chunked n_jobs={j} changed the labels")
+                raise AssertionError(f"chunked workers={j} changed the labels")
             sweeps = result.diagnostics.get("sweeps", [])
             # Only fully-chunked sweeps: a "chunked+dense_tail" sweep did
             # part of its work in the serial fallback, so its scoring_s
@@ -319,14 +319,14 @@ def bench_engine(
             mb_wall, mb = _timed(
                 lambda: MiniBatchFairKM(
                     k, batch_size=4096, lambda_=lam, seed=0, max_iter=max_iter,
-                    n_jobs=j,
+                    workers=j,
                 ).fit(points, categorical=cats, numeric=nums),
                 repeats,
             )
             if "minibatch" not in baseline_labels:
                 baseline_labels["minibatch"] = mb.labels
             elif not np.array_equal(mb.labels, baseline_labels["minibatch"]):
-                raise AssertionError(f"minibatch n_jobs={j} changed the labels")
+                raise AssertionError(f"minibatch workers={j} changed the labels")
             records.append(
                 BenchRecord(
                     "minibatch_fairkm_fit", n_real, k, int(j),
@@ -357,18 +357,18 @@ def bench_assign(
     records: list[BenchRecord] = []
     rng = np.random.default_rng(0)
     centers = rng.normal(size=(k, d)) * 2.0
-    service = Assigner(centers)
+    services = {j: Assigner(centers, workers=j) for j in jobs}
     for n in sizes:
         n = int(n)
         points = rng.normal(size=(n, d))
-        baseline = service.assign(points, chunk_size=chunk_size)
+        baseline = Assigner(centers).assign(points, chunk_size=chunk_size)
         for j in jobs:
             wall, labels = _timed(
-                lambda: service.assign(points, chunk_size=chunk_size, n_jobs=j),
+                lambda: services[j].assign(points, chunk_size=chunk_size),
                 repeats,
             )
             if not np.array_equal(labels, baseline):
-                raise AssertionError(f"assign n_jobs={j} changed the labels")
+                raise AssertionError(f"assign workers={j} changed the labels")
             records.append(
                 BenchRecord(
                     "assigner_throughput", n, k, int(j),
@@ -428,9 +428,9 @@ def bench_serve(
         registry = ModelRegistry(Path(tmp) / "registry")
         version = registry.publish(model, label="bench")
         for j in jobs:
-            server = AssignmentServer(registry=registry, n_jobs=int(j)).start()
+            server = AssignmentServer(registry=registry, workers=int(j)).start()
             raw_server = AssignmentServer(
-                registry=registry, n_jobs=int(j), metrics=False
+                registry=registry, workers=int(j), metrics=False
             ).start()
             try:
                 with ServingClient(port=server.port) as client, ServingClient(
@@ -464,7 +464,7 @@ def bench_serve(
                             )
                             if not np.array_equal(response.labels, baseline):
                                 raise AssertionError(
-                                    f"{workload} n_jobs={j} labels diverged from "
+                                    f"{workload} workers={j} labels diverged from "
                                     "in-process assign"
                                 )
                             if response.version != version:
@@ -488,7 +488,7 @@ def bench_serve(
                         )
                         if not np.array_equal(raw_response.labels, baseline):
                             raise AssertionError(
-                                f"serve_http_npy_raw n_jobs={j} labels diverged "
+                                f"serve_http_npy_raw workers={j} labels diverged "
                                 "from in-process assign"
                             )
                         raw_record = BenchRecord(

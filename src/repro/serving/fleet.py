@@ -204,7 +204,6 @@ class FleetSupervisor:
         registry: the shared model registry every worker serves from.
         workers: number of worker processes (>= 1).
         host: bind address for the workers (and default proxy).
-        n_jobs: worker threads per assignment call inside each process.
         chunk_size: default rows per scored block per worker.
         state_dir: where announce files, worker logs and the fleet state
             file live (default ``<registry>/.fleet`` — the name cannot
@@ -240,7 +239,6 @@ class FleetSupervisor:
         *,
         workers: int = 2,
         host: str = "127.0.0.1",
-        n_jobs: int | None = None,
         chunk_size: int | None = None,
         state_dir: str | Path | None = None,
         transport: str = "auto",
@@ -265,7 +263,6 @@ class FleetSupervisor:
         self.registry = registry
         self.n_workers = workers
         self.host = host
-        self.n_jobs = n_jobs
         self.chunk_size = chunk_size
         self.state_dir = (
             Path(state_dir) if state_dir is not None else registry.root / ".fleet"
@@ -452,8 +449,6 @@ class FleetSupervisor:
             command += ["--uds", worker.uds]
         else:
             command += ["--host", self.host, "--port", str(worker.port)]
-        if self.n_jobs is not None:
-            command += ["--jobs", str(self.n_jobs)]
         if self.chunk_size is not None:
             command += ["--chunk-size", str(self.chunk_size)]
         worker.announce_path.unlink(missing_ok=True)  # no stale pid claims

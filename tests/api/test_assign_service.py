@@ -108,7 +108,7 @@ def test_non_finite_rows_are_refused_not_labelled(bad):
     with pytest.raises(ValueError, match="finite"):
         service.assign(points)
     with pytest.raises(ValueError, match="finite"):
-        service.assign(points, chunk_size=1, n_jobs=2)
+        Assigner(service.centers, workers=2).assign(points, chunk_size=1)
     with pytest.raises(ValueError, match="finite"):
         list(service.assign_iter(points))
     with pytest.raises(ValueError, match="finite"):

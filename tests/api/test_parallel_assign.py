@@ -29,88 +29,100 @@ def data():
 
 @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
 def test_parallel_assign_equals_predict_per_method(data, method):
-    """Assigner(n_jobs=4) matches in-process predict for every method."""
+    """Assigner(workers=4) matches in-process predict for every method."""
     points, sensitive, probe = data
     estimator = build_estimator(RunConfig(method=method, k=K, seed=0, max_iter=10))
     estimator.fit_predict(points, sensitive=sensitive)
-    service = Assigner(estimator.centers_, n_jobs=4)
+    service = Assigner(estimator.centers_, workers=4)
     # Tiny chunks force a real multi-task fan-out over the probe.
     np.testing.assert_array_equal(
         service.assign(probe, chunk_size=64), estimator.predict(probe)
     )
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2, 4, -1])
-def test_parallel_chunks_bit_identical(data, n_jobs):
+@pytest.mark.parametrize("workers", [1, 2, 4, -1])
+def test_parallel_chunks_bit_identical(data, workers):
     points, _, probe = data
     rng = np.random.default_rng(0)
     centers = rng.normal(size=(K, D)) * 3.0
-    service = Assigner(centers)
-    base_labels, base_d2 = service.assign(probe, chunk_size=32, return_distance=True)
-    labels, d2 = service.assign(
-        probe, chunk_size=32, n_jobs=n_jobs, return_distance=True
+    base_labels, base_d2 = Assigner(centers).assign(
+        probe, chunk_size=32, return_distance=True
+    )
+    labels, d2 = Assigner(centers, workers=workers).assign(
+        probe, chunk_size=32, return_distance=True
     )
     np.testing.assert_array_equal(labels, base_labels)
     np.testing.assert_array_equal(d2, base_d2)
 
 
-def test_constructor_n_jobs_is_default(data):
+def test_constructor_workers_fix_the_width(data):
     _, _, probe = data
     rng = np.random.default_rng(1)
     centers = rng.normal(size=(K, D))
-    parallel = Assigner(centers, n_jobs=4)
+    parallel = Assigner(centers, workers=4)
     serial = Assigner(centers)
+    assert (parallel.workers, serial.workers) == (4, 1)
     np.testing.assert_array_equal(
         parallel.assign(probe, chunk_size=50), serial.assign(probe, chunk_size=50)
     )
 
 
-def test_batched_assign_n_jobs(data):
+def test_batched_assign_workers(data):
     _, _, probe = data
     rng = np.random.default_rng(2)
     centers = rng.normal(size=(K, D))
     np.testing.assert_array_equal(
-        batched_assign(probe, centers, chunk_size=33, n_jobs=3),
+        batched_assign(probe, centers, chunk_size=33, workers=3),
         batched_assign(probe, centers),
     )
 
 
 def test_invalid_n_jobs_rejected(data):
+    """Bad worker counts raise; the retired n_jobs spelling is refused
+    outright instead of being silently ignored."""
     _, _, probe = data
     centers = np.eye(D)[:K]
-    with pytest.raises(ValueError, match="n_jobs"):
-        Assigner(centers, n_jobs=0)
-    with pytest.raises(ValueError, match="n_jobs"):
-        Assigner(centers).assign(probe, n_jobs=-2)
+    with pytest.raises(ValueError, match="workers"):
+        Assigner(centers, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        Assigner(centers, workers=-2)
+    with pytest.raises(TypeError, match="n_jobs"):
+        Assigner(centers, n_jobs=2)
+    with pytest.raises(TypeError, match="n_jobs"):
+        Assigner(centers).assign(probe, n_jobs=2)
 
 
-def test_model_assign_uses_config_n_jobs(data, tmp_path):
-    """In-process models default to config.n_jobs; artifacts never
-    persist it (host-execution knob, v1 wire format unchanged)."""
+def test_model_assigns_at_width_one(data, tmp_path):
+    """A fitted model serves serially whatever its training workers were,
+    exactly like the same model loaded back from disk; artifacts never
+    persist the worker count (v1 wire format unchanged)."""
     import json
 
     from repro.api import fit
 
     points, sensitive, probe = data
-    config = RunConfig(method="fairkm", k=K, seed=0, max_iter=10, n_jobs=2)
+    config = RunConfig(method="fairkm", k=K, seed=0, max_iter=10, workers=2)
     model = fit(config, points, sensitive=sensitive)
-    assert model.config.n_jobs == 2  # drives assign() defaults in-process
+    assert model.config.workers == 2  # training width only
     path = model.save(tmp_path / "m")
     payload = json.loads((path / "model.json").read_text())
-    assert "n_jobs" not in payload["config"]  # v1 wire format unchanged
+    assert "workers" not in payload["config"] and "n_jobs" not in payload["config"]
     loaded = ClusterModel.load(path)
-    assert loaded.config.n_jobs == 1  # serving hosts opt in explicitly
+    assert model.assigner.workers == loaded.assigner.workers == 1
     np.testing.assert_array_equal(
-        loaded.assign(probe, chunk_size=64),
-        model.assign(probe, chunk_size=64, n_jobs=4),
+        loaded.assign(probe, chunk_size=64), model.assign(probe, chunk_size=64)
     )
 
 
 def test_run_config_n_jobs_round_trip():
-    config = RunConfig(n_jobs=4)
+    """A config written with the retired n_jobs key loads onto workers
+    and round-trips under the one name."""
+    config = RunConfig.from_dict({"n_jobs": 4})
+    assert config == RunConfig(workers=4)
+    assert "n_jobs" not in config.to_dict()
     assert RunConfig.from_json(config.to_json()) == config
-    assert RunConfig(n_jobs=-1).n_jobs == -1
-    with pytest.raises(ValueError, match="n_jobs"):
-        RunConfig(n_jobs=0)
-    with pytest.raises(ValueError, match="n_jobs"):
-        RunConfig(n_jobs=-4)
+    assert RunConfig.from_dict({"n_jobs": -1}).workers == -1
+    with pytest.raises(ValueError, match="workers"):
+        RunConfig.from_dict({"n_jobs": 0})
+    with pytest.raises(ValueError, match="workers"):
+        RunConfig.from_dict({"n_jobs": -4})

@@ -37,6 +37,59 @@ def test_validation(kwargs, match):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 2.5),
+        ("k", True),
+        ("k", "5"),
+        ("max_iter", 0.5),
+        ("max_iter", False),
+        ("chunk_size", 2.5),
+        ("chunk_size", True),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("workers", 2.5),
+    ],
+)
+def test_counts_must_be_integral(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        RunConfig.from_dict({field: value})
+
+
+def test_integral_floats_are_stored_as_ints():
+    config = RunConfig(k=4.0, max_iter=7.0, chunk_size=64.0, seed=3.0, workers=2.0)
+    assert (config.k, config.max_iter, config.chunk_size, config.seed, config.workers) == (
+        4, 7, 64, 3, 2,
+    )
+    assert all(
+        type(value) is int
+        for value in (config.k, config.max_iter, config.chunk_size, config.seed, config.workers)
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [{"k": 2.5}, {"max_iter": 0.5}, {"chunk_size": 2.5}, {"seed": "x"}]
+)
+def test_cli_fit_config_with_a_fractional_count_is_a_usage_error(config, capsys, tmp_path):
+    import numpy as np
+
+    from repro import cli
+
+    data_path = tmp_path / "points.npy"
+    np.save(data_path, np.random.default_rng(1).normal(size=(30, 2)))
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"method": "kmeans", **config}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["fit", "--config", str(config_path), "--data", str(data_path),
+                  "--out", str(tmp_path / "never")])
+    assert err.value.code == 2
+    assert f"--config {config_path}: {next(iter(config))}" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_engines_constant_matches_core():
     from repro.core.engine import make_sweep
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -60,10 +61,10 @@ def test_validate_workers_rejects_everything_else(bad):
 
 
 def test_validate_workers_errors_name_the_caller_field():
-    with pytest.raises(ValueError, match="n_jobs"):
-        validate_workers(0, field="n_jobs", allow_auto=False)
-    with pytest.raises(ValueError, match="n_jobs"):
-        validate_workers("auto", field="n_jobs", allow_auto=False)
+    with pytest.raises(ValueError, match="serve_workers"):
+        validate_workers(0, field="serve_workers")
+    with pytest.raises(ValueError, match="serve_workers"):
+        validate_workers(2.5, field="serve_workers")
 
 
 def test_core_budget_honors_the_env_cap(monkeypatch):
@@ -168,13 +169,22 @@ def test_runconfig_validates_backend_and_workers():
 
 
 def test_runconfig_workers_inherits_n_jobs_alias():
-    assert RunConfig(n_jobs=4).effective_workers == 4
-    assert RunConfig(n_jobs=4, workers=2).effective_workers == 2
-    assert RunConfig().effective_workers == 1
+    """Configs written with the retired n_jobs key set workers, unless
+    they also carry a workers value of their own."""
+    from repro.api import build_estimator
+
+    legacy = {"method": "fairkm", "engine": "chunked", "k": 3, "n_jobs": 4}
+    for extra, workers in [({}, 4), ({"workers": None}, 4), ({"workers": 2}, 2)]:
+        config = RunConfig.from_json(json.dumps({**legacy, **extra}))
+        assert config.workers == workers
+        assert build_estimator(config).sweep.backend.workers == workers
+    assert RunConfig.from_dict({}).workers == 1
+    with pytest.raises(TypeError, match="n_jobs"):
+        RunConfig(n_jobs=4)
 
 
 def test_runconfig_round_trips_the_execution_spec():
-    cfg = RunConfig(backend="multiprocess", workers="auto", n_jobs=2)
+    cfg = RunConfig(backend="multiprocess", workers="auto")
     assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -182,18 +192,17 @@ def test_old_configs_without_execution_spec_still_load():
     # Payloads written before the backend/workers fields existed.
     old = {"method": "fairkm", "k": 4, "seed": 1}
     cfg = RunConfig.from_dict(old)
-    assert cfg.backend == "local" and cfg.workers is None
+    assert cfg.backend == "local" and cfg.workers == 1
     with pytest.raises(ValueError, match="unknown RunConfig keys"):
         RunConfig.from_dict({"method": "fairkm", "k": 4, "backends": "local"})
 
 
 def test_saved_artifacts_drop_host_execution_knobs(tmp_path):
-    cfg = RunConfig(method="kmeans", k=3, n_jobs=4, backend="multiprocess", workers=2)
+    cfg = RunConfig(method="kmeans", k=3, backend="multiprocess", workers=2)
     model = ClusterModel(np.eye(3), cfg)
     loaded = ClusterModel.load(model.save(tmp_path / "artifact"))
-    assert loaded.config.n_jobs == 1
     assert loaded.config.backend == "local"
-    assert loaded.config.workers is None
+    assert loaded.config.workers == 1
     # Everything that *is* model identity survives.
     assert loaded.config.method == "kmeans" and loaded.config.k == 3
 

@@ -96,7 +96,7 @@ def test_exact_engines_are_descent_methods(problem):
     points, cats, nums, k, chunk_size, config = problem
     seq = FairKM(k, **config).fit(points, categorical=cats, numeric=nums)
     fits = [seq] + [
-        FairKM(k, engine="chunked", chunk_size=chunk_size, n_jobs=j, **config).fit(
+        FairKM(k, engine="chunked", chunk_size=chunk_size, workers=j, **config).fit(
             points, categorical=cats, numeric=nums
         )
         for j in (1, 2)

@@ -1,7 +1,7 @@
 """Parallel hot paths: worker-pool utilities and sweep exactness.
 
 The contract under test is *bit-identical decisions at every thread
-count*: ``ChunkedSweep(n_jobs=j)`` must reproduce the sequential
+count*: ``ChunkedSweep(workers=j)`` must reproduce the sequential
 sweep's labels and objective trajectory, sharded mini-batch scoring
 must match the single-threaded mini-batch result, and the scoring-view
 guard must catch mutation during scoring.
@@ -24,11 +24,10 @@ from repro.core import (
     MiniBatchFairKM,
     MiniBatchSweep,
     NumericSpec,
+    WorkerPool,
     make_sweep,
-    ordered_map,
-    resolve_n_jobs,
 )
-from repro.core.parallel import run_tasks
+from repro.core.parallel import resolve_workers
 from repro.core.state import ClusterState
 
 
@@ -37,38 +36,47 @@ from repro.core.state import ClusterState
 # --------------------------------------------------------------------- #
 
 
-def test_resolve_n_jobs():
-    assert resolve_n_jobs(None) == 1
-    assert resolve_n_jobs(1) == 1
-    assert resolve_n_jobs(4) == 4
-    assert resolve_n_jobs(-1) == (os.cpu_count() or 1)
+def test_resolve_workers(monkeypatch):
+    monkeypatch.delenv("REPRO_CORE_BUDGET", raising=False)
+    assert resolve_workers(None) == 1
+    assert resolve_workers(1) == 1
+    assert resolve_workers(4) == 4
+    assert resolve_workers(-1) == (os.cpu_count() or 1)
     for bad in (0, -2):
-        with pytest.raises(ValueError, match="n_jobs"):
-            resolve_n_jobs(bad)
+        with pytest.raises(ValueError, match="workers"):
+            resolve_workers(bad)
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2, 4])
-def test_ordered_map_preserves_task_order(n_jobs):
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_worker_pool_map_preserves_task_order(workers):
     tasks = list(range(37))
-    assert ordered_map(lambda t: t * t, tasks, n_jobs) == [t * t for t in tasks]
+    pool = WorkerPool(workers)
+    assert pool.map(lambda t: t * t, tasks) == [t * t for t in tasks]
+    pool.shutdown()
 
 
-def test_ordered_map_propagates_exceptions():
+def test_worker_pool_map_propagates_exceptions():
     def boom(t):
         raise RuntimeError("boom")
 
+    pool = WorkerPool(2)
     with pytest.raises(RuntimeError, match="boom"):
-        ordered_map(boom, [1, 2, 3], 2)
+        pool.map(boom, [1, 2, 3])
+    with pytest.raises(RuntimeError, match="boom"):
+        pool.run([lambda: boom(0), lambda: None])
+    pool.shutdown()
 
 
-@pytest.mark.parametrize("n_jobs", [1, 3])
-def test_run_tasks_fills_disjoint_slices(n_jobs):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_pool_run_fills_disjoint_slices(workers):
     out = np.zeros(30, dtype=np.int64)
     thunks = [
         (lambda s=start: out.__setitem__(slice(s, s + 10), s))
         for start in (0, 10, 20)
     ]
-    run_tasks(thunks, n_jobs)
+    pool = WorkerPool(workers)
+    pool.run(thunks)
+    pool.shutdown()
     assert set(out[:10]) == {0} and set(out[10:20]) == {10} and set(out[20:]) == {20}
 
 
@@ -114,31 +122,29 @@ def test_frozen_view_detects_resync(small_state):
 # --------------------------------------------------------------------- #
 
 
-def test_make_sweep_threads_n_jobs():
-    assert make_sweep("chunked", n_jobs=4).n_jobs == 4
-    assert make_sweep("minibatch", chunk_size=1024, n_jobs=2).n_jobs == 2
-    assert make_sweep("chunked").n_jobs == 1
+def test_make_sweep_threads_workers():
+    assert make_sweep("chunked", workers=4).backend.workers == 4
+    assert make_sweep("minibatch", chunk_size=1024, workers=2).backend.workers == 2
+    assert make_sweep("chunked").backend.workers == 1
 
 
-def test_make_sweep_rejects_n_jobs_with_instance():
-    with pytest.raises(ValueError, match="n_jobs"):
-        make_sweep(ChunkedSweep(), n_jobs=2)
+def test_make_sweep_rejects_workers_with_instance():
+    with pytest.raises(ValueError, match="workers"):
+        make_sweep(ChunkedSweep(), workers=2)
 
 
-def test_sweep_constructors_validate_n_jobs():
-    with pytest.raises(ValueError, match="n_jobs"):
-        ChunkedSweep(n_jobs=0)
-    with pytest.raises(ValueError, match="n_jobs"):
-        MiniBatchSweep(n_jobs=-3)
-    with pytest.raises(ValueError, match="n_jobs"):
-        MiniBatchFairKM(2, n_jobs=0)
-    with pytest.raises(ValueError, match="n_jobs"):
-        FairKM(2, engine="chunked", n_jobs=-2)
+def test_sweep_constructors_validate_workers():
+    with pytest.raises(ValueError, match="workers"):
+        ChunkedSweep(workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        MiniBatchSweep(workers=-3)
+    with pytest.raises(ValueError, match="workers"):
+        MiniBatchFairKM(2, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        FairKM(2, engine="chunked", workers=-2)
 
 
 def test_worker_pool_reuses_executor():
-    from repro.core.parallel import WorkerPool
-
     pool = WorkerPool(2)
     assert pool._executor is None  # lazy: no threads until parallel work
     assert pool.map(lambda t: t + 1, [1, 2, 3]) == [2, 3, 4]
@@ -154,8 +160,6 @@ def test_worker_pool_reuses_executor():
 
 
 def test_worker_pool_serial_never_spawns():
-    from repro.core.parallel import WorkerPool
-
     pool = WorkerPool(None)
     assert pool.map(lambda t: t, [1, 2, 3]) == [1, 2, 3]
     assert pool._executor is None
@@ -188,7 +192,7 @@ def parallel_problems(draw):
 @given(parallel_problems())
 @settings(max_examples=25, deadline=None)
 def test_parallel_chunked_equals_sequential(problem):
-    """ChunkedSweep(n_jobs=j) is bit-identical to sequential for every j."""
+    """ChunkedSweep(workers=j) is bit-identical to sequential for every j."""
     points, cats, nums, k, lam, chunk_size, shuffle, seed = problem
     seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed).fit(
         points, categorical=cats, numeric=nums
@@ -201,7 +205,7 @@ def test_parallel_chunked_equals_sequential(problem):
             seed=seed,
             engine="chunked",
             chunk_size=chunk_size,
-            n_jobs=j,
+            workers=j,
         ).fit(points, categorical=cats, numeric=nums)
         np.testing.assert_array_equal(seq.labels, par.labels)
         assert seq.moves_per_iter == par.moves_per_iter
@@ -217,7 +221,7 @@ def test_sharded_minibatch_equals_single_threaded(problem):
         k, batch_size=64, lambda_=lam, shuffle=shuffle, seed=seed
     ).fit(points, categorical=cats, numeric=nums)
     sharded = MiniBatchFairKM(
-        k, batch_size=64, lambda_=lam, shuffle=shuffle, seed=seed, n_jobs=4
+        k, batch_size=64, lambda_=lam, shuffle=shuffle, seed=seed, workers=4
     ).fit(points, categorical=cats, numeric=nums)
     np.testing.assert_array_equal(serial.labels, sharded.labels)
     assert serial.objective_history == sharded.objective_history
@@ -234,7 +238,7 @@ def test_sharded_minibatch_large_batch_exercises_shards():
     serial = MiniBatchFairKM(4, batch_size=n, lambda_=50.0, seed=0).fit(
         points, categorical=cats
     )
-    sharded = MiniBatchFairKM(4, batch_size=n, lambda_=50.0, seed=0, n_jobs=4).fit(
+    sharded = MiniBatchFairKM(4, batch_size=n, lambda_=50.0, seed=0, workers=4).fit(
         points, categorical=cats
     )
     np.testing.assert_array_equal(serial.labels, sharded.labels)
@@ -251,7 +255,7 @@ def test_result_records_per_sweep_diagnostics():
     points = np.vstack([rng.normal(0, 1, (400, 4)), rng.normal(5, 1, (400, 4))])
     cats = [CategoricalSpec("c", rng.integers(0, 2, 800), n_values=2)]
     result = FairKM(
-        3, lambda_=100.0, seed=0, engine="chunked", chunk_size=64, n_jobs=2
+        3, lambda_=100.0, seed=0, engine="chunked", chunk_size=64, workers=2
     ).fit(points, categorical=cats)
     assert result.diagnostics["engine"] == "chunked"
     sweeps = result.diagnostics["sweeps"]
@@ -268,7 +272,7 @@ def test_result_records_per_sweep_diagnostics():
     assert chunked, "no sweep ran the chunked scan"
     for entry in chunked:
         assert entry["window"] >= 1
-        assert entry["n_jobs"] == 2
+        assert entry["workers"] == 2
         assert entry["repair_s"] >= 0.0
 
 

@@ -511,10 +511,13 @@ def test_attribute_sums_stay_ordered_past_eight_attributes(b):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fairness_term_equals_the_section_5_2_euclidean_deviation(seed):
-    """On a chunked fit's final labels, Eq. 7's fairness term is the §5.2
-    per-cluster Euclidean deviation: Σ_S (w/|V|) Σ_C |C|²·eucl_C² / n²."""
+    """On a chunked fit's final labels, the fairness term of Eqs. 7 / 22 is
+    the §5.2 per-cluster Euclidean deviation: categorical attributes add
+    (w/|V|) Σ_C (|C|/n)²·eucl_C², numeric ones w Σ_C (|C|/n)²·(std·dev_C)²
+    (``numeric_fairness`` divides the mean gap by std, or by 1 for a
+    constant attribute, whose gaps are all 0)."""
     from repro.core import FairKM
-    from repro.metrics.fairness import categorical_fairness
+    from repro.metrics.fairness import categorical_fairness, numeric_fairness
 
     rng = np.random.default_rng(seed)
     n, k = 600, 6
@@ -523,8 +526,14 @@ def test_fairness_term_equals_the_section_5_2_euclidean_deviation(seed):
         CategoricalSpec("weighted", rng.integers(0, 5, n), weight=2.5),
         CategoricalSpec("plain", rng.integers(0, 2, n)),
     ]
+    nums = [
+        NumericSpec("age", rng.normal(40.0, 9.0, n), weight=1.5, standardize=False),
+        NumericSpec("constant", np.full(n, 7.0)),
+    ]
     points = rng.normal(size=(n, 3)) + 3.0 * cats[1].codes[:, None]
-    result = FairKM(k, engine="chunked", chunk_size=64, seed=seed).fit(points, categorical=cats)
+    result = FairKM(k, engine="chunked", chunk_size=64, seed=seed).fit(
+        points, categorical=cats, numeric=nums
+    )
     labels = result.labels
     sizes = np.bincount(labels, minlength=k).astype(np.float64)
     expected = 0.0
@@ -532,7 +541,11 @@ def test_fairness_term_equals_the_section_5_2_euclidean_deviation(seed):
         eucl = categorical_fairness(spec.codes, labels, k, spec.n_values).per_cluster_euclidean
         eucl = np.nan_to_num(eucl, nan=0.0)  # empty clusters deviate by nothing
         expected += spec.weight / spec.n_values * float(np.sum(sizes**2 * eucl**2))
+    for spec in nums:
+        dev = numeric_fairness(spec.values, labels, k).per_cluster_euclidean
+        dev = np.nan_to_num(dev, nan=0.0)
+        expected += spec.weight * float(np.sum(sizes**2 * (spec.values.std() * dev) ** 2))
     expected /= float(n) ** 2
-    actual = ClusterState(points, labels, k, cats, []).fairness_term()
+    actual = ClusterState(points, labels, k, cats, nums).fairness_term()
     assert actual > 0.0
     np.testing.assert_allclose(actual, expected, rtol=1e-12)

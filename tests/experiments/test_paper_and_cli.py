@@ -96,9 +96,11 @@ def test_registry_complete():
 
 
 def test_cli_list(capsys):
-    assert cli.main(["list"]) == 0
+    from repro.experiments.paper import EXPERIMENTS
+
+    assert cli.main(["paper", "list"]) == 0
     out = capsys.readouterr().out
-    assert "table5" in out and "fig5-7" in out
+    assert all(name in out for name in EXPERIMENTS)
 
 
 def test_cli_paper_list(capsys):
@@ -125,10 +127,9 @@ def test_cli_runs_kinematics_table(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(paper, "RESULTS_DIR", tmp_path / "results")
     monkeypatch.setenv("REPRO_BENCH_SEEDS", "1")
-    assert cli.main(["table7"]) == 0
+    assert cli.main(["paper", "table7"]) == 0
     captured = capsys.readouterr()
     assert "Table 7" in captured.out
-    assert "deprecated" in captured.err
     assert (tmp_path / "results" / "table7_kinematics_quality.txt").exists()
 
 
@@ -258,12 +259,11 @@ def test_load_points_file_csv_single_column(tmp_path):
     assert points.shape == (3, 1)
 
 
-def test_cli_legacy_alias_with_leading_options(capsys, monkeypatch, tmp_path):
-    """The old single-parser CLI allowed 'repro --seeds 1 table7'."""
-    import repro.experiments.paper as paper
-
-    monkeypatch.setattr(paper, "RESULTS_DIR", tmp_path / "results")
-    assert cli.main(["--seeds", "1", "table7"]) == 0
-    captured = capsys.readouterr()
-    assert "Table 7" in captured.out
-    assert "deprecated" in captured.err
+def test_cli_legacy_alias_with_leading_options(capsys):
+    """The pre-subcommand spellings ('repro table7', 'repro --seeds 1
+    table7') are gone: only 'repro paper table7' names an experiment."""
+    for argv in (["table7"], ["--seeds", "1", "table7"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err

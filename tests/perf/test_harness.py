@@ -159,7 +159,7 @@ def test_cli_bench_smoke_writes_validated_files(tmp_path, capsys):
     from repro.cli import main
     from repro.perf.harness import run_bench
 
-    assert main(["bench", "assign", "--smoke", "--jobs", "2",
+    assert main(["bench", "assign", "--smoke", "--workers", "2",
                  "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "BENCH_assign.json" in out
