@@ -2,8 +2,9 @@
 
 These time the inner-loop operations whose complexity §4.3.1 analyses:
 the per-object move-delta evaluation (the optimizer's hot path), the
-vectorized batch variant, a cache resync, and a full K-Means fit for
-reference. Useful for catching performance regressions.
+dense sweep's fused score-and-move step, the vectorized batch variant
+(fresh windows and repairs of a gathered window's suffix), a cache
+resync, and a full K-Means fit for reference. Useful for catching performance regressions.
 """
 
 from __future__ import annotations
@@ -64,6 +65,27 @@ def test_repair_rows(benchmark, repair_state, rows):
     """The chunked sweep's repair call: one full-row rescoring of the
     rows still pending in a window, per k and pending rows."""
     benchmark(repair_state.batch_move_deltas, np.arange(rows), 1e6)
+
+
+@pytest.mark.parametrize("rows", [8, 64])
+def test_repair_gathered_suffix(benchmark, repair_state, rows):
+    """The chunked sweep's repair as it runs: the pending suffix of a
+    256-row window gathered once (``ClusterState.gather``)."""
+    block = repair_state.gather(np.arange(256))
+    benchmark(repair_state.batch_move_deltas, block[256 - rows :], 1e6)
+
+
+def test_step_roundtrip(benchmark, state):
+    """The dense sweep's fused step: score one object and move it to its
+    least-delta cluster unless that is its own (a tolerance of -inf
+    accepts any delta), then move it back."""
+    original = int(state.labels[7])
+
+    def roundtrip():
+        state.step(7, 1e6, -np.inf)
+        state.apply_move(7, original)
+
+    benchmark(roundtrip)
 
 
 def test_apply_move_roundtrip(benchmark, state):

@@ -98,15 +98,16 @@ class Assigner:
     ) -> None:
         """Label rows ``start:stop``, writing into the output slices."""
         block = points[start:stop]
+        # A NaN or inf coordinate makes the row's norm non-finite, and
+        # argmin would still hand that row a label: refuse it before
+        # paying for the GEMM.
+        norms = squared_norms(block)
+        if not np.isfinite(norms).all():
+            raise ValueError("points must be finite (no NaN or inf)")
         # Same expansion (and operation order) as pairwise_sq_euclidean,
         # with the center norms hoisted out of the loop.
         d2 = block @ self._centers_t
         d2 *= -2.0
-        norms = squared_norms(block)
-        # A NaN or inf coordinate makes the row's norm non-finite, and
-        # argmin would still hand that row a label: refuse it instead.
-        if not np.isfinite(norms).all():
-            raise ValueError("points must be finite (no NaN or inf)")
         d2 += norms[:, None]
         d2 += self._center_norms[None, :]
         np.maximum(d2, 0.0, out=d2)

@@ -601,6 +601,11 @@ def _resolve_fit_inputs(
     if args.dataset is not None:
         return _build_dataset(args.dataset, args.adult_n, config.seed), None
     points, sensitive = load_points_file(args.data)
+    if sensitive is None and METHOD_REGISTRY[config.method].scope != "none":
+        parser.error(
+            f"--data {args.data}: method {config.method!r} needs sensitive attributes; "
+            f"store them as {SENSITIVE_PREFIX}<name> arrays next to 'points' in an .npz file"
+        )
     return points, sensitive
 
 

@@ -8,9 +8,9 @@ between optimizers is *how one pass over the objects is executed*, which
 is delegated to a pluggable :class:`SweepStrategy`:
 
 * :class:`SequentialSweep` — the paper's Algorithm 1 literally: visit
-  each object, score it against every cluster with
-  :meth:`~repro.core.state.ClusterState.move_deltas`, apply the best
-  improving move immediately.
+  each object, score it against every cluster and apply the best
+  improving move immediately, in one fused
+  :meth:`~repro.core.state.ClusterState.step`.
 * :class:`ChunkedSweep` — the vectorized *exact* sweep. Whole chunks are
   scored at once via
   :meth:`~repro.core.state.ClusterState.batch_move_deltas`; moves are
@@ -44,7 +44,7 @@ from .attributes import CategoricalSpec, NumericSpec
 from .config import FairKMConfig, FairKMResult
 from .lambda_heuristic import resolve_lambda
 from .parallel import resolve_workers
-from .state import ClusterState
+from .state import ClusterState, RowBlock
 
 
 class SweepStrategy:
@@ -91,15 +91,10 @@ class SequentialSweep(SweepStrategy):
     ) -> int:
         start = time.perf_counter()
         moves = 0
-        for i in order:
-            i = int(i)
+        for i in order.tolist():
             if not cfg.allow_empty and state.sizes[state.labels[i]] == 1:
                 continue
-            deltas = state.move_deltas(i, lam)
-            target = int(np.argmin(deltas))
-            if target != state.labels[i] and deltas[target] < -cfg.tol:
-                state.apply_move(i, target)
-                moves += 1
+            moves += state.step(i, lam, cfg.tol)
         self.last_stats = {
             "mode": "sequential",
             "scoring_s": time.perf_counter() - start,
@@ -132,7 +127,8 @@ class ChunkedSweep(SweepStrategy):
     statistics, so the rows still pending in the window are re-scored
     with one ``batch_move_deltas`` call: the same stateless kernel that
     scores fresh windows, so a repaired row holds exactly the value a
-    fresh window would. After each repair the pending scores equal what
+    fresh window would. A window's row-side inputs are gathered once
+    (:meth:`ClusterState.gather`); each repair scores a suffix view. After each repair the pending scores equal what
     the sequential sweep would compute at its visit time, so the
     decision sequence — visit order, accepted moves, chosen targets — is
     exactly the sequential sweep's.
@@ -252,15 +248,15 @@ class ChunkedSweep(SweepStrategy):
                 stats["mode"] = "chunked+dense_tail"
                 break
             group = order[start : start + stride]
-            deltas = self._score_group(state, group, window, lam, stats)
+            blocks = [state.gather(group[lo : lo + window]) for lo in range(0, len(group), window)]
+            deltas = self._score_group(state, group, blocks, window, lam, stats)
             moved = False
-            for lo in range(0, group.shape[0], window):
-                rows = group[lo : lo + window]
+            for lo, block in zip(range(0, len(group), window), blocks):
                 if moved:  # the prefetched scores of this window are stale
                     repair_start = time.perf_counter()
-                    deltas[lo : lo + window] = state.batch_move_deltas(rows, lam)
+                    deltas[lo : lo + window] = state.batch_move_deltas(block, lam)
                     stats["repair_s"] += time.perf_counter() - repair_start
-                hits = self._scan_window(state, rows, lam, cfg, deltas[lo : lo + window], stats)
+                hits = self._scan_window(state, block, lam, cfg, deltas[lo : lo + window], stats)
                 moved = moved or hits > 0
                 moves += hits
         self._prev_rate = moves / n
@@ -271,6 +267,7 @@ class ChunkedSweep(SweepStrategy):
         self,
         state: ClusterState,
         group: np.ndarray,
+        blocks: list[RowBlock],
         window: int,
         lam: float,
         stats: dict,
@@ -281,10 +278,11 @@ class ChunkedSweep(SweepStrategy):
         every worker count and backend; the backend only decides
         *where* each per-window ``batch_move_deltas`` call runs, so the
         merged result is the same array serial scoring would produce.
+        A one-window group is scored in process from its gathered block.
         """
         start = time.perf_counter()
-        if self.backend.workers == 1 or group.shape[0] <= window:
-            deltas = state.batch_move_deltas(group, lam)
+        if len(blocks) == 1:
+            deltas = state.batch_move_deltas(blocks[0], lam)
         else:
             parts = self.backend.map_score(state, self.backend.shard(group, window), lam)
             deltas = self.backend.merge_stats(parts)
@@ -294,38 +292,40 @@ class ChunkedSweep(SweepStrategy):
     @staticmethod
     def _scan_window(
         state: ClusterState,
-        window: np.ndarray,
+        block: RowBlock,
         lam: float,
         cfg: FairKMConfig,
         deltas: np.ndarray,
         stats: dict,
     ) -> int:
-        """Scan one scored window in visit order, repairing per move."""
-        best = deltas.min(axis=1)
-        w = window.shape[0]
+        """Scan one scored window in visit order, repairing per move.
+
+        *block* is the window gathered once; each repair scores the
+        pending suffix ``block[r:]`` of it.
+        """
+        best = np.minimum.reduce(deltas, axis=1)
+        w = len(block)
         moves = 0
         r = 0
         while True:
             hit = -1
-            for off in np.flatnonzero(best[r:] < -cfg.tol):
-                rc = r + int(off)
-                i = int(window[rc])
-                if not cfg.allow_empty and state.sizes[state.labels[i]] == 1:
+            for rc in (r + (best[r:] < -cfg.tol).nonzero()[0]).tolist():
+                if not cfg.allow_empty and state.sizes[block.cur[rc]] == 1:
                     best[rc] = 0.0  # vetoed: visited without moving
                     continue
                 hit = rc
                 break
             if hit < 0:
                 return moves
-            state.apply_move(int(window[hit]), int(np.argmin(deltas[hit])))
+            state.apply_move(int(block.index[hit]), int(deltas[hit].argmin()))
             moves += 1
             r = hit + 1
             if r >= w:
                 return moves
             # Re-score the rows still pending in the window.
             repair_start = time.perf_counter()
-            deltas[r:] = state.batch_move_deltas(window[r:], lam)
-            best[r:] = deltas[r:].min(axis=1)
+            deltas[r:] = state.batch_move_deltas(block[r:], lam)
+            best[r:] = np.minimum.reduce(deltas[r:], axis=1)
             stats["repair_s"] += time.perf_counter() - repair_start
 
 

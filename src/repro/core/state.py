@@ -37,6 +37,17 @@ over the *leading* attribute axis (:func:`_attr_sum`), never by a
 ``.sum`` over a contiguous innermost axis, which numpy adds pairwise.
 Scores are therefore bit-identical to one-attribute-at-a-time evaluation.
 
+Kernels. The batch kernel :func:`shard_move_deltas` tabulates the
+categorical terms once per call over the ΣV codes — a join table
+``T[v, c] = (2·gap + self_v)·norm`` and a leave table
+``U[v, c] = norm·(−2·gap + self_v)`` — and gathers them per row by code,
+with the same elementwise expressions a per-row evaluation uses. Its
+row-side inputs come gathered once in a :class:`RowBlock`, so a chunked
+window's repairs score suffix views of it. The dense sweep's fused
+:meth:`ClusterState.step` scores one row and, if it moves, applies the
+``±2·gap + self`` f increments the scoring already formed — the values
+:meth:`ClusterState.apply_move` computes for a move on its own.
+
 Floating-point hygiene: thousands of incremental updates accumulate error,
 so :meth:`ClusterState.resync` recomputes every cache from the raw label
 vector (the optimizer calls it once per outer iteration) and
@@ -76,92 +87,134 @@ def _attr_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def _categorical_deltas(
-    codes: np.ndarray, cur: np.ndarray, m: np.ndarray, cats: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(fair_in (b, k), fair_out (b,))`` summed over the attributes.
+#: Scales of the join and leave tables of :func:`shard_move_deltas`.
+_JOIN_LEAVE = np.array([2.0, -2.0]).reshape(2, 1, 1)
 
-    *codes* holds the rows' stacked codes as ``(A, b)``; *cats* is
-    ``(p, p2, counts, h, norm)``.
+
+@dataclass(slots=True, eq=False)
+class RowBlock:
+    """The row-side inputs of :func:`shard_move_deltas`, gathered once.
+
+    :meth:`ClusterState.gather` builds one for a set of rows; ``block[r:]``
+    is the block of rows ``r:`` as views, so a chunked window gathered
+    once serves its fresh scoring and every per-move repair of its
+    pending suffix. The suffix rows' ``cur`` stays valid across moves
+    because a move only relabels a row the scan has already passed.
+
+    Attributes:
+        index: the rows' object indices, shape ``(b,)``.
+        xb: their points, shape ``(b, d)``.
+        x2: their squared norms, shape ``(b,)``.
+        cur: their current clusters, shape ``(b,)``.
+        codes: their stacked categorical codes, shape ``(A, b)``.
+        cur_at: ``codes·k + cur``, the flat index of each (code, current
+            cluster) entry of a ``(ΣV, k)`` table, shape ``(A, b)``.
+        ys: their centered numeric values, one row per numeric
+            attribute, shape ``(N, b)``.
     """
-    b = codes.shape[1]
-    p, p2, counts, h, norm = cats
-    p_j = np.take(p, codes)  # (A, b)
-    self_term = 1.0 - 2.0 * p_j + p2[:, None]
-    # gap[a, r, c] = (counts[j_ar, c] − m_c p_j) − (h[a, c] − m_c P2_a), in place.
-    gap = np.take(counts, codes, axis=0)  # (A, b, k)
-    gap -= m * p_j[:, :, None]
-    gap -= (h - m * p2[:, None])[:, None, :]
-    gap_cur = gap[:, np.arange(b), cur]
-    fair_out = _attr_sum(norm[:, None] * (-2.0 * gap_cur + self_term))
-    gap *= 2.0
-    gap += self_term[:, :, None]
-    gap *= norm[:, None, None]
-    return _attr_sum(gap), fair_out
+
+    index: np.ndarray
+    xb: np.ndarray
+    x2: np.ndarray
+    cur: np.ndarray
+    codes: np.ndarray
+    cur_at: np.ndarray
+    ys: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x2.shape[0]
+
+    def __getitem__(self, rows: slice) -> RowBlock:
+        return RowBlock(self.index[rows], self.xb[rows], self.x2[rows], self.cur[rows],
+                        self.codes[:, rows], self.cur_at[:, rows], self.ys[:, rows])
 
 
 def shard_move_deltas(
-    xb: np.ndarray,
-    x2: np.ndarray,
-    cur: np.ndarray,
+    block: RowBlock,
     sums: np.ndarray,
     sum_sqnorm: np.ndarray,
     sizes_f: np.ndarray,
     cats: tuple,
-    nums: list[tuple[np.ndarray, float, np.ndarray]],
+    nums: list[tuple[float, np.ndarray]],
     lambda_: float,
     n2: float,
 ) -> np.ndarray:
     """Pure-function core of :meth:`ClusterState.batch_move_deltas`.
 
-    Every scoring path in the system — in process and in multiprocess
-    workers — must funnel through this one expression sequence so their
-    float operation order is identical and a multiprocess fit stays bit
-    for bit equal to a local one.
+    Every scoring path in the system — in process, in threads and in
+    multiprocess workers — funnels through this one expression sequence
+    so their float operation order is identical and a multiprocess fit
+    stays bit for bit equal to a local one.
+
+    The categorical terms depend on a row only through its codes, so
+    they are tabulated once per call over the ΣV stacked codes (module
+    docstring) and gathered per row: the join table
+    ``T[v, c] = (2·gap + self_v)·norm`` and the leave table
+    ``U[v, c] = norm·(−2·gap + self_v)``, with
+    ``gap(v, c) = (counts[v, c] − m_c·p_v) − (h[a, c] − m_c·P2_a)``.
 
     Args:
-        xb: shard rows of the point matrix, shape ``(b, d)``.
-        x2: shard rows of the squared norms, shape ``(b,)``.
-        cur: current cluster of each shard row, shape ``(b,)``.
+        block: the rows to score (:meth:`ClusterState.gather`).
         sums: frozen per-cluster sums ``S``, shape ``(k, d)``.
         sum_sqnorm: frozen ``‖S_C‖²``, shape ``(k,)``.
         sizes_f: frozen cluster sizes as float64, shape ``(k,)``.
-        cats: the stacked categorical attributes (module docstring)
-            ``(codes, p, p2, counts, h, norm)`` with ``codes`` the
-            ``(A, b)`` stacked codes of the shard rows.
-        nums: per numeric attribute, the tuple ``(y, weight, d)`` with
-            ``y`` the gathered centered values.
+        cats: the stacked categorical attributes
+            ``(p, p2, attr_of, self_v, norm_v, counts, h)``: ``attr_of``,
+            ``self_v = 1 − 2·p + P2`` and ``norm_v`` are per code.
+        nums: per numeric attribute, the tuple ``(weight, d)``; the
+            rows' values are ``block.ys``.
         lambda_: fairness trade-off.
         n2: dataset ``n²`` as float (see :class:`ClusterState`).
 
     Returns:
         ``(b, k)`` matrix of objective deltas.
     """
-    rows = np.arange(xb.shape[0])
+    x2, cur = block.x2, block.cur
+    rows = np.arange(x2.shape[0])
     m = sizes_f
+    lo = np.minimum.reduce(m)
+    ssq_cur = sum_sqnorm[cur]
     m_cur = m[cur]
-    dots = xb @ sums.T  # (b, k)
-    # Divisors are clamped to >= 1, so no errstate guard is needed.
-    delta_in = (
-        x2[:, None]
-        + (sum_sqnorm / np.where(m > 0, m, 1.0))[None, :]
-        - (sum_sqnorm[None, :] + 2.0 * dots + x2[:, None]) / (m + 1.0)[None, :]
-    )
-    delta_in = np.where(m[None, :] > 0, delta_in, 0.0)
-    s2_minus = sum_sqnorm[cur] - 2.0 * dots[rows, cur] + x2
-    delta_out = np.where(
-        m_cur <= 1.0,
-        0.0,
-        -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0) + sum_sqnorm[cur] / np.maximum(m_cur, 1.0),
-    )
+    x2c = x2[:, None]
+    # K-Means term, delta_in = x2 + ‖S‖²/m − (‖S‖² + 2·S·x + x2)/(m + 1),
+    # built in the dots buffer. The masks only matter for an empty
+    # cluster (m = 0) or a singleton current cluster (m ≤ 1); divisors
+    # are clamped to >= 1, so no errstate guard is needed.
+    q = block.xb @ sums.T  # (b, k)
+    s2_minus = ssq_cur - 2.0 * q[rows, cur] + x2
+    q *= 2.0
+    q += sum_sqnorm
+    q += x2c
+    q /= m + 1.0
+    deltas = x2c + sum_sqnorm / (m if lo > 0.0 else np.where(m > 0, m, 1.0))
+    deltas -= q
+    if lo <= 0.0:
+        deltas[:, m == 0] = 0.0
+    if lo > 1.0:
+        delta_out = -x2 - s2_minus / (m_cur - 1.0) + ssq_cur / m_cur
+    else:
+        delta_out = np.where(
+            m_cur <= 1.0,
+            0.0,
+            -x2 - s2_minus / np.maximum(m_cur - 1.0, 1.0) + ssq_cur / np.maximum(m_cur, 1.0),
+        )
+    deltas += delta_out[:, None]
 
-    fair_in, fair_out = _categorical_deltas(cats[0], cur, m, cats[1:])
-    for y, weight, d in nums:
+    p, p2, attr_of, self_v, norm_v, counts, h = cats
+    gap = counts - p[:, None] * m  # (ΣV, k)
+    gap -= (h - m * p2[:, None]).take(attr_of, axis=0)
+    join, leave = tables = gap * _JOIN_LEAVE  # (2, ΣV, k): 2·gap, −2·gap
+    tables += self_v[:, None]
+    tables *= norm_v[:, None]
+    fair_in = _attr_sum(join.take(block.codes, axis=0))
+    fair_out = _attr_sum(leave.take(block.cur_at))
+    for y, (weight, d) in zip(block.ys, nums):
         fair_in += weight * (y[:, None] * (2.0 * d[None, :] + y[:, None]))
         fair_out += weight * (-y * (2.0 * d[cur] - y))
 
-    deltas = delta_in + delta_out[:, None]
-    deltas += (lambda_ / n2) * (fair_in + fair_out[:, None])
+    fair_in += fair_out[:, None]
+    fair_in *= lambda_ / n2
+    deltas += fair_in
     deltas[rows, cur] = 0.0
     return deltas
 
@@ -228,29 +281,31 @@ class ClusterState:
         self._counts = self._cache[: v * k].reshape(v, k)
         self._h = self._cache[v * k : (v + a) * k].reshape(a, k)
         self._f = self._cache[(v + a) * k :].reshape(a, k)
-        # apply_move updates 2A slots, (leave cur, join target) × attribute,
+        # Per-code constants of the scoring kernels: attribute index,
+        # the self term 1 − 2·p_v + P2_a and the weight w_a/|V_a|.
+        self._attr_of = np.repeat(np.arange(a), sizes)
+        self._self_v = 1.0 - 2.0 * self._p + np.repeat(self._p2, sizes)
+        self._norm_v = np.repeat(self._norm, sizes)
+        # A move updates 2A slots, (leave cur, join target) × attribute,
         # in flat 1-D arrays: row 0 of _slots is set per move to the codes'
         # counts rows, rows 1-2 are the h and f rows; p_j and the self term
-        # 1 − 2·p_j + P2 are looked up per counts entry; _steps[0] are signs.
+        # are looked up per counts entry; _steps[0] are signs.
         self._rows = np.arange(v) * k
         self._slots = np.zeros((3, 2 * a), dtype=np.intp)
         self._slots[1:] = np.tile(k * (v + np.arange(2 * a).reshape(2, a)), 2)
         self._slot_cluster = np.zeros(2 * a, dtype=np.intp)
         self._slot_p2 = np.tile(self._p2, 2)
-        self._entry = np.repeat([self._p, 1.0 - 2.0 * self._p + np.repeat(self._p2, sizes)], k, 1)
+        self._entry = np.repeat([self._p, self._self_v], k, 1)
         self._steps = np.empty((3, 2 * a))
         self._steps[0] = np.repeat([-1.0, 1.0], a)
-        self._num: list[_NumericState] = []
-        for spec in self.numeric_specs:
-            centered = spec.values - spec.dataset_mean
-            self._num.append(
-                _NumericState(
-                    spec=spec,
-                    centered=centered,
-                    d=np.zeros(self.k, dtype=np.float64),
-                    weight=spec.weight,
-                )
-            )
+        # Centered numeric values, one row per attribute (n_num, n).
+        self._centered = np.array(
+            [spec.values - spec.dataset_mean for spec in self.numeric_specs], dtype=np.float64
+        ).reshape(-1, self.n)
+        self._num = [
+            _NumericState(spec=spec, centered=centered, d=np.zeros(self.k), weight=spec.weight)
+            for spec, centered in zip(self.numeric_specs, self._centered)
+        ]
         self.resync()
 
     # ------------------------------------------------------------------ #
@@ -380,44 +435,45 @@ class ClusterState:
     # Move deltas and application                                         #
     # ------------------------------------------------------------------ #
 
-    def move_deltas(self, i: int, lambda_: float) -> np.ndarray:
-        """Objective change for moving object *i* to each cluster.
+    def _row_deltas(self, i: int, lambda_: float):
+        """Eq. 10 for object *i* against every cluster, with its parts.
 
-        Returns a length-k vector whose entry c is
-        ``O(labels with i→c) − O(labels)``; the entry for i's current
-        cluster is exactly 0. This is Eq. 10 evaluated for all candidate
-        clusters at once.
+        Returns ``(deltas, cur, j, incs)``: the length-k deltas, i's
+        current cluster, its stacked codes ``j (A,)`` and the
+        ``(A, k + 1)`` f increments a move applies:
+        column c < k is joining c, ``2·gap + self``, column k is leaving
+        cur, ``−2·gap[:, cur] + self``.
         """
         cur = int(self.labels[i])
         x = self.points[i]
         x2 = float(self.point_sqnorm[i])
         m = self._sizes_f
+        nonempty = np.minimum.reduce(m) > 0.0
 
         # --- K-Means term ------------------------------------------------
         dots = self.sums @ x  # S_C · x for every C
-        # Divisors are clamped to >= 1, so no errstate guard is needed.
-        delta_in = x2 + self.sum_sqnorm / np.where(m > 0, m, 1.0) - (
+        # Divisors are clamped to >= 1, so no errstate guard is needed;
+        # the masks only matter when a cluster is empty.
+        deltas = x2 + self.sum_sqnorm / (m if nonempty else np.where(m > 0, m, 1.0)) - (
             self.sum_sqnorm + 2.0 * dots + x2
         ) / (m + 1.0)
-        delta_in = np.where(m > 0, delta_in, 0.0)
+        if not nonempty:
+            deltas[m == 0] = 0.0
 
         m_cur = float(m[cur])
-        if m_cur <= 1.0:
-            delta_out = 0.0
-        else:
+        if m_cur > 1.0:
             s2_minus = self.sum_sqnorm[cur] - 2.0 * dots[cur] + x2
-            delta_out = -x2 - s2_minus / (m_cur - 1.0) + self.sum_sqnorm[cur] / m_cur
-        deltas = delta_in + delta_out
+            deltas += -x2 - s2_minus / (m_cur - 1.0) + self.sum_sqnorm[cur] / m_cur
 
-        # --- Fairness term (column k of `terms` is leaving cur) ----------
+        # --- Fairness term -----------------------------------------------
         j = self._codes[:, i]
         p_j = self._p[j]
-        self_term = 1.0 - 2.0 * p_j + self._p2
         gap = (self._counts[j] - m * p_j[:, None]) - (self._h - m * self._p2[:, None])
-        terms = np.empty((j.shape[0], self.k + 1))
-        np.multiply(self._norm[:, None], 2.0 * gap + self_term[:, None], out=terms[:, :-1])
-        terms[:, -1] = self._norm * (-2.0 * gap[:, cur] + self_term)
-        fair = _attr_sum(terms)
+        incs = np.empty((j.shape[0], self.k + 1))
+        np.multiply(gap, 2.0, out=incs[:, :-1])
+        np.multiply(gap[:, cur], -2.0, out=incs[:, -1])
+        incs += self._self_v[j][:, None]
+        fair = _attr_sum(incs * self._norm[:, None])
         fair_in, fair_out = fair[:-1], float(fair[-1])
         for num in self._num:
             y = float(num.centered[i])
@@ -426,9 +482,44 @@ class ClusterState:
         deltas += (lambda_ / self._n2) * (fair_in + fair_out)
 
         deltas[cur] = 0.0
-        return deltas
+        return deltas, cur, j, incs
 
-    def batch_move_deltas(self, indices: np.ndarray, lambda_: float) -> np.ndarray:
+    def move_deltas(self, i: int, lambda_: float) -> np.ndarray:
+        """Objective change for moving object *i* to each cluster.
+
+        Returns a length-k vector whose entry c is
+        ``O(labels with i→c) − O(labels)``; the entry for i's current
+        cluster is exactly 0. This is Eq. 10 evaluated for all candidate
+        clusters at once.
+        """
+        return self._row_deltas(i, lambda_)[0]
+
+    def step(self, i: int, lambda_: float, tol: float) -> bool:
+        """One visit of the round robin: score *i*, move it if that pays.
+
+        :meth:`move_deltas` and :meth:`apply_move` fused: *i* moves to
+        the first cluster of least delta when that delta is below
+        ``−tol``, and the move reuses the scoring's codes and f
+        increments. Returns whether *i* moved.
+        """
+        deltas, cur, j, incs = self._row_deltas(i, lambda_)
+        target = int(deltas.argmin())
+        if target == cur or not deltas[target] < -tol:
+            return False
+        self._commit(i, cur, target, j, incs)
+        return True
+
+    def gather(self, indices: np.ndarray) -> RowBlock:
+        """The rows' inputs to :func:`shard_move_deltas` (see :class:`RowBlock`)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        codes = self._codes.take(indices, axis=1)
+        cur = self.labels[indices]
+        cur_at = np.multiply(codes, self.k, dtype=np.intp)
+        cur_at += cur
+        return RowBlock(indices, self.points[indices], self.point_sqnorm[indices], cur,
+                        codes, cur_at, self._centered.take(indices, axis=1))
+
+    def batch_move_deltas(self, indices: np.ndarray | RowBlock, lambda_: float) -> np.ndarray:
         """Vectorized :meth:`move_deltas` for many objects at once.
 
         Returns a ``(len(indices), k)`` matrix of objective deltas, each
@@ -436,19 +527,18 @@ class ClusterState:
         rows do not see each other's hypothetical moves. This is the
         computational primitive of the mini-batch extension (§6.1): within
         a batch, decisions are made against a stale snapshot and applied
-        together.
+        together. *indices* is an index array or a :class:`RowBlock`
+        already gathered by :meth:`gather`.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        block = indices if isinstance(indices, RowBlock) else self.gather(indices)
         return shard_move_deltas(
-            self.points[indices],
-            self.point_sqnorm[indices],
-            self.labels[indices],
+            block,
             self.sums,
             self.sum_sqnorm,
             self._sizes_f,
-            (np.take(self._codes, indices, axis=1), self._p, self._p2,
-             self._counts, self._h, self._norm),
-            [(num.centered[indices], num.weight, num.d) for num in self._num],
+            (self._p, self._p2, self._attr_of, self._self_v, self._norm_v,
+             self._counts, self._h),
+            [(num.weight, num.d) for num in self._num],
             float(lambda_),
             self._n2,
         )
@@ -465,29 +555,42 @@ class ClusterState:
             return
         if not 0 <= target < self.k:
             raise ValueError(f"target cluster {target} out of range [0, {self.k})")
-        x = self.points[i]
-        x2 = float(self.point_sqnorm[i])
-        m = self._sizes_f
+        self._commit(i, cur, target, self._codes[:, i], None)
 
-        # Removal from cur (counts still include i) and insertion into
-        # target (counts exclude i) touch disjoint cache entries, so both
-        # go at once as columns (cur, target); ``x + (−1)·y`` is ``x − y``.
-        rows = self._rows[self._codes[:, i]]
-        a = rows.shape[0]
+    def _commit(
+        self, i: int, cur: int, target: int, j: np.ndarray, incs: np.ndarray | None
+    ) -> None:
+        """Update every cache for *i*, with codes *j*, moving cur → target.
+
+        Removal from cur (counts still include i) and insertion into
+        target (counts exclude i) touch disjoint entries of the flat
+        cache, so both go at once as columns (cur, target);
+        ``x + (−1)·y`` is ``x − y``. The f increments ``∓2·gap + self``
+        are taken from *incs*, the ``(A, k + 1)`` matrix of
+        :meth:`_row_deltas`, or without it computed from the two
+        columns' gathered entries by the same expressions.
+        """
+        a = j.shape[0]
         slots, clusters, steps = self._slots, self._slot_cluster, self._steps
-        slots[0, :a] = slots[0, a:] = rows
+        slots[0, :a] = slots[0, a:] = self._rows[j]
         clusters[:a], clusters[a:] = cur, target
         at = slots + clusters  # flat counts, h, f entries: (3, 2A)
         old = self._cache[at]
         p_j = self._entry[0][at[0]]
-        m_at = m[clusters]
-        gap = (old[0] - m_at * p_j) - (old[1] - m_at * self._slot_p2)
-        np.multiply(steps[0], p_j, out=steps[1])  # [±1, ±p_j, ±2·gap + self term]
-        np.multiply(steps[0], gap, out=steps[2])
-        steps[2] *= 2.0
-        steps[2] += self._entry[1][at[0]]
+        np.multiply(steps[0], p_j, out=steps[1])  # [±1, ±p_j, f increment]
+        if incs is None:
+            m_at = self._sizes_f[clusters]
+            gap = (old[0] - m_at * p_j) - (old[1] - m_at * self._slot_p2)
+            np.multiply(steps[0], gap, out=steps[2])
+            steps[2] *= 2.0
+            steps[2] += self._entry[1][at[0]]
+        else:
+            steps[2, :a] = incs[:, -1]
+            steps[2, a:] = incs[:, target]
         old += steps
         self._cache[at] = old
+        x = self.points[i]
+        x2 = float(self.point_sqnorm[i])
 
         for num in self._num:
             y = float(num.centered[i])

@@ -99,10 +99,12 @@ def test_batched_assign_convenience(problem):
     )
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_are_refused_not_labelled(bad):
     """A NaN/inf row has no nearest center: assign and assign_iter raise
-    instead of returning an argmin over NaN distances."""
+    instead of returning an argmin over NaN distances, and refuse the
+    chunk before its GEMM, so numpy warns about nothing."""
     service = Assigner(np.array([[0.0, 0.0], [5.0, 5.0]]))
     points = np.array([[0.0, 1.0], [4.0, 4.0], [bad, 0.0]])
     with pytest.raises(ValueError, match="finite"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CategoricalSpec, NumericSpec
@@ -454,31 +454,89 @@ def _oracle_problem(rng: np.random.Generator, n: int, kinds: list[str], n_num: i
     return cats, nums
 
 
+def _sparse_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Labels with an empty cluster and a singleton one wherever k allows."""
+    labels = rng.integers(0, max(1, k - 2), n)
+    if k >= 2:
+        labels[int(rng.integers(0, n))] = k - 1  # a singleton; k - 2 stays empty
+    return labels
+
+
+def _oracle_sweep(
+    oracle: _PerAttributeOracle, order: np.ndarray, lam: float, cfg, repair: bool
+) -> None:
+    """The round robin on the oracle: each visited row scored one at a
+    time (``repair=False``) or as the head of the pending suffix, as a
+    chunked window's repair scores it (``repair=True``)."""
+    for r, i in enumerate(order.tolist()):
+        cur = int(oracle.labels[i])
+        if not cfg.allow_empty and oracle.sizes_f[cur] == 1:
+            continue
+        if repair:
+            deltas = oracle.batch_move_deltas(order[r:], lam)[0]
+        else:
+            deltas = oracle.move_deltas(i, lam)
+        target = int(np.argmin(deltas))
+        if target != cur and deltas[target] < -cfg.tol:
+            oracle.apply_move(i, target)
+
+
 @given(
     st.integers(0, 10_000),
-    st.lists(_KINDS, max_size=6),
+    st.lists(_KINDS, max_size=10),
     st.integers(0, 2),
     st.integers(1, 12),
     st.sampled_from([1, 2, 33, 300]),
+    st.booleans(),
+    st.booleans(),
 )
+@example(seed=1, kinds=[], n_num=1, k=4, b=33, sparse=True, allow_empty=False)  # numeric only
+@example(seed=2, kinds=["plain"], n_num=0, k=5, b=33, sparse=True, allow_empty=True)
+@example(seed=3, kinds=["plain"] * 11, n_num=1, k=6, b=2, sparse=True, allow_empty=False)
 @settings(max_examples=60, deadline=None)
-def test_stacked_kernels_match_per_attribute_oracle(seed, kinds, n_num, k, b):
+def test_stacked_kernels_match_per_attribute_oracle(seed, kinds, n_num, k, b, sparse, allow_empty):
     """Deltas and every cache equal the per-attribute formulas bit for
-    bit, across interleaved apply_move and resync."""
+    bit, across interleaved apply_move and resync: window scoring, the
+    repair of every suffix of a gathered window, the fused dense step
+    and a chunked window scan, with empty and singleton clusters."""
+    from repro.core.config import FairKMConfig
+    from repro.core.engine import ChunkedSweep, SequentialSweep
+
     rng = np.random.default_rng(seed)
     n = int(rng.integers(max(k, 2), 80))
     points = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0)
     cats, nums = _oracle_problem(rng, n, kinds, n_num)
     lam = float(rng.uniform(0.0, 1e4))
-    state = ClusterState(points, rng.integers(0, k, n), k, cats, nums)
+    labels = _sparse_labels(rng, n, k) if sparse else rng.integers(0, k, n)
+    state = ClusterState(points, labels, k, cats, nums)
     oracle = _PerAttributeOracle(state)
-    for _ in range(6):
+    cfg = FairKMConfig(k=k, allow_empty=allow_empty)
+    for step in range(6):
         indices = rng.integers(0, n, b)
         assert np.array_equal(
             state.batch_move_deltas(indices, lam), oracle.batch_move_deltas(indices, lam)
         )
+        window = indices[:40]
+        block = state.gather(window)
+        for r in range(len(window)):
+            assert np.array_equal(
+                state.batch_move_deltas(block[r:], lam), oracle.batch_move_deltas(window[r:], lam)
+            )
         for i in indices[:5]:
             assert np.array_equal(state.move_deltas(int(i), lam), oracle.move_deltas(int(i), lam))
+        # One visit per row of a short order: the fused step (sequential
+        # sweep) or a gathered window scanned with per-move repairs.
+        order = rng.permutation(n)[:24]
+        if step % 2:
+            block = state.gather(order)
+            ChunkedSweep._scan_window(
+                state, block, lam, cfg, state.batch_move_deltas(block, lam), {"repair_s": 0.0}
+            )
+        else:
+            SequentialSweep().sweep(state, order, lam, cfg)
+        _oracle_sweep(oracle, order, lam, cfg, repair=bool(step % 2))
+        assert np.array_equal(state.labels, oracle.labels)
+        _assert_caches_equal(state, oracle)
         for _ in range(int(rng.integers(0, 8))):
             i, target = int(rng.integers(0, n)), int(rng.integers(0, k))
             state.apply_move(i, target)

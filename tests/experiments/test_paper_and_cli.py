@@ -229,6 +229,16 @@ def test_cli_fit_requires_exactly_one_data_source(capsys):
     assert "--dataset or --data" in capsys.readouterr().err
 
 
+def test_cli_fit_fairness_method_without_sensitive_arrays_is_usage_error(capsys, tmp_path):
+    data_path = tmp_path / "points.npy"
+    np.save(data_path, np.random.default_rng(2).normal(size=(40, 2)))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["fit", "--data", str(data_path), "-k", "2", "--out", str(tmp_path / "m")])
+    assert err.value.code == 2
+    assert "needs sensitive attributes" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_cli_predict_missing_model_is_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["predict", "--model", str(tmp_path / "none"),
