@@ -593,6 +593,18 @@ def _require_one_source(
         parser.error("exactly one of --dataset or --data is required")
 
 
+def _load_data_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """:func:`load_points_file` on ``--data``; an unreadable file is a
+    usage error (exit 2), like an unreadable ``--config``."""
+    try:
+        return load_points_file(args.data)
+    except (OSError, ValueError) as exc:
+        parser.error(f"--data {args.data}: {exc}")
+        raise AssertionError("unreachable")  # parser.error exits
+
+
 def _resolve_fit_inputs(
     args: argparse.Namespace, parser: argparse.ArgumentParser, config: RunConfig
 ) -> tuple[Any, Any]:
@@ -600,7 +612,7 @@ def _resolve_fit_inputs(
     _require_one_source(args, parser)
     if args.dataset is not None:
         return _build_dataset(args.dataset, args.adult_n, config.seed), None
-    points, sensitive = load_points_file(args.data)
+    points, sensitive = _load_data_file(args, parser)
     if sensitive is None and METHOD_REGISTRY[config.method].scope != "none":
         parser.error(
             f"--data {args.data}: method {config.method!r} needs sensitive attributes; "
@@ -680,7 +692,7 @@ def _cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         dataset = _build_dataset(args.dataset, args.adult_n, model.config.seed)
         points = dataset.feature_matrix(scale=model.config.scale_features)
     else:
-        points, _ = load_points_file(args.data)
+        points, _ = _load_data_file(args, parser)
     start = time.perf_counter()
     assigner = Assigner(model.centers, workers=args.workers)
     labels = assigner.assign(points, chunk_size=args.chunk_size)

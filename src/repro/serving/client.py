@@ -483,9 +483,6 @@ class ServingClient:
                     pause = min(pause, deadline.remaining_s())
                 time.sleep(max(0.0, pause))
 
-    # Backwards-compatible internal spelling.
-    _request = request_raw
-
     def request_json(
         self, method: str, path: str, body: bytes | None = None
     ) -> dict[str, Any]:
@@ -679,38 +676,20 @@ class ServingClient:
                 else None,
             )
             try:
-                if status >= 400:
-                    payload = response.read()
-                    try:
-                        message = json.loads(payload.decode("utf-8")).get("error", "")
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        message = payload.decode("utf-8", "replace")
-                    raise ServingClientError(status, self._with_trace(message))
-                reader = wire.StreamReader(response.read)
-                arrays = list(reader.frames())
-                # Past the wire terminator the HTTP chunked body still has
-                # its last-chunk marker: drain so keep-alive stays in sync.
-                while response.read(65536):
-                    pass
+                reader, payloads = self._read_stream(status, response)
+                arrays = [
+                    wire.decode_npy(wire.recode_payload(p, reader.codec, "identity"))
+                    for p in payloads
+                ]
             except wire.WireError as exc:
-                self.close()  # mid-body failure: the connection is desynced
                 raise ServingClientError(
                     502, self._with_trace(f"invalid stream response: {exc}")
                 ) from exc
-            except (http.client.HTTPException, OSError) as exc:
-                # The response body was cut (or stalled) mid-stream: the
-                # request is idempotent and no partial result escapes, so
-                # surface the retryable/timeout taxonomy like request_raw.
-                self.close()
-                if isinstance(exc, TimeoutError):
-                    raise ServingTimeoutError(
-                        f"{self.address} stalled mid-stream: {exc}"
-                        f" [trace {trace_id}]"
-                    ) from exc
-                raise ServingUnavailableError(
-                    f"{self.address} cut the stream short: {exc}"
-                    f" [trace {trace_id}]"
-                ) from exc
+            except ServingClientError as exc:
+                # Every error of this call names its trace id, as the
+                # transport's do; a proxy relays lane errors unstamped.
+                exc.args = (f"{exc} [trace {trace_id}]",)
+                raise
             version = response_headers.get(VERSION_HEADER, "")
             if return_distance:
                 labels = arrays[0::2]
@@ -733,3 +712,51 @@ class ServingClient:
                     codec=codec,
                     rows=int(result.labels.shape[0]) if result is not None else 0,
                 )
+
+    def _read_stream(
+        self, status: int, response: http.client.HTTPResponse
+    ) -> tuple[wire.StreamReader, list[bytes]]:
+        """Read one streamed ``/assign`` response off :meth:`_exchange`.
+
+        Returns ``(reader, payloads)``: the label frames undecoded, and
+        the reader naming their codec and distances flag. A proxy lane
+        relays the payloads as they are; :meth:`assign_stream` decodes
+        them. The response is read past the wire terminator, so the
+        connection stays reusable.
+
+        Raises:
+            ServingClientError: a status >= 400 (with the server's
+                message), or 502 for a malformed response stream.
+            ServingUnavailableError: the response was cut short.
+            ServingTimeoutError: the response stalled past the timeout.
+        """
+        try:
+            if status >= 400:
+                payload = response.read()
+                try:
+                    message = json.loads(payload.decode("utf-8")).get("error", "")
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    message = payload.decode("utf-8", "replace")
+                raise ServingClientError(status, message)
+            reader = wire.StreamReader(response.read)
+            payloads = list(reader.raw_frames())
+            # Past the wire terminator the HTTP chunked body still has
+            # its last-chunk marker: drain so keep-alive stays in sync.
+            while response.read(65536):
+                pass
+        except wire.WireError as exc:
+            self.close()  # mid-body failure: the connection is desynced
+            raise ServingClientError(502, f"invalid stream response: {exc}") from exc
+        except (http.client.HTTPException, OSError) as exc:
+            # The response body was cut (or stalled) mid-stream: the
+            # request is idempotent and no partial result escapes, so
+            # surface the retryable/timeout taxonomy like request_raw.
+            self.close()
+            if isinstance(exc, TimeoutError):
+                raise ServingTimeoutError(
+                    f"{self.address} stalled mid-stream: {exc}"
+                ) from exc
+            raise ServingUnavailableError(
+                f"{self.address} cut the stream short: {exc}"
+            ) from exc
+        return reader, payloads

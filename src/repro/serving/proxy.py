@@ -53,14 +53,12 @@ the request (or the dealt lane) to the next one.
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler
 from typing import Any
 
 import numpy as np
@@ -68,7 +66,7 @@ import numpy as np
 from ..faults.plan import FaultInjector
 from ..obs import metrics as obs_metrics
 from ..obs import prometheus as obs_prometheus
-from ..obs.trace import TRACE_HEADER, PARENT_HEADER, TraceSink, get_sink, start_span
+from ..obs.trace import TraceSink, get_sink
 from . import wire
 from .client import (
     DEFAULT_STREAM_CHUNK,
@@ -86,10 +84,7 @@ from .server import (
     VERSION_HEADER,
     ConnectionTrackingServer,
     ServingError,
-    _BoundedBodyReader,
-    _ChunkedBodyReader,
-    _HTTPChunkWriter,
-    _TelemetryMixin,
+    _BaseHandler,
 )
 
 #: Response header naming the worker index(es) that served the request.
@@ -398,8 +393,7 @@ class _Dealer:
         self._accept: str | None = None
         self._distances = False
         self._deadline: Deadline | None = None
-        self._trace_id: str | None = None
-        self._parent_id: str | None = None
+        self._hop_span: Any = None
         self._targets: list[tuple[int, str]] = []
         self._lanes = 0
         self._sources: list[_ReplaySource] = []
@@ -413,19 +407,21 @@ class _Dealer:
         codec: str,
         accept: str | None,
         distances: bool,
-        deadline: Deadline | None = None,
-        trace_id: str | None = None,
-        parent_id: str | None = None,
+        deadline: Deadline | None,
+        hop_span: Any,
         lanes: int | None = None,
     ) -> None:
-        """Fix the lanes' stream settings and target order; *lanes* caps
-        the lane count (default: one per worker)."""
+        """Fix the lanes' stream settings and target order.
+
+        *hop_span* is the ingress handler's ``_hop_span``: each lane
+        attempt opens its span and trace headers through it. *lanes*
+        caps the lane count (default: one per worker).
+        """
         self._codec = codec
         self._accept = accept
         self._distances = distances
         self._deadline = deadline
-        self._trace_id = trace_id
-        self._parent_id = parent_id
+        self._hop_span = hop_span
         self._targets = self._server.target_order()
         if not self._targets:
             raise ServingError(
@@ -443,8 +439,7 @@ class _Dealer:
             accept=self._accept,
             distances=self._distances,
             deadline=self._deadline,
-            trace_id=self._trace_id,
-            parent_id=self._parent_id,
+            hop_span=self._hop_span,
             lanes=lanes,
         )
         return dealer
@@ -564,22 +559,16 @@ class _Dealer:
             headers: dict[str, str] = {}
             if self._deadline is not None:
                 headers[DEADLINE_HEADER] = self._deadline.header_value()
-            span = start_span(
-                self._server.trace_sink, "proxy.lane", self._trace_id, self._parent_id
-            )
-            if self._trace_id:
-                headers[TRACE_HEADER] = self._trace_id
-                parent = span.span_id if span is not None else self._parent_id
-                if parent:
-                    headers[PARENT_HEADER] = parent
+            span = self._hop_span("proxy.lane", headers)
             if span is not None:
                 span.set(lane=lane, worker=index, replay=attempt > 0)
             client = self._server.lease_client(url)
             try:
-                version, codec, distances, payloads = _stream_exchange(
-                    client, body_for(url), headers=headers or None,
-                    deadline=self._deadline,
+                status, response_headers, response = client._exchange(
+                    "POST", "/assign", body_for(url), STREAM_CONTENT_TYPE,
+                    headers=headers or None, deadline=self._deadline,
                 )
+                reader, payloads = client._read_stream(status, response)
             except ServingUnavailableError as exc:
                 breakers.failure(url)
                 self._server._m_lane_failures.labels(target=str(index)).inc()
@@ -597,9 +586,10 @@ class _Dealer:
                 self._server.release_client(url, client)
             breakers.success(url)
             self._server._m_lane_requests.labels(target=str(index)).inc()
+            version = response_headers.get(VERSION_HEADER, "")
             if span is not None:
                 span.finish(
-                    codec=codec,
+                    codec=reader.codec,
                     bytes=self._bytes[lane] if lane < len(self._bytes) else 0,
                     version=version,
                 )
@@ -607,7 +597,7 @@ class _Dealer:
                 skew = injector.fire("proxy.lane.version")
                 if skew is not None and skew.kind == "skew":
                     version = f"{version}+skewed"
-            return index, version, codec, distances, payloads
+            return index, version, reader.codec, reader.distances, payloads
         raise ServingUnavailableError(
             f"no reachable fleet worker for dealt lane: {last_error}"
         )
@@ -673,164 +663,43 @@ def _dealt_payloads(
     return pairs
 
 
-class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _ProxyHandler(_BaseHandler):
     server: FleetProxy  # narrowed for type checkers
 
-    _METRIC_PATHS = frozenset(
-        {
-            "/assign",
-            "/healthz",
-            "/model",
-            "/reload",
-            "/metrics",
-            "/admin/status",
-            "/admin/rollout",
-            "/admin/metrics",
-        }
-    )
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)
-
-    # -- plumbing ------------------------------------------------------ #
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload: dict[str, Any], extra: dict[str, str] | None = None
-    ) -> None:
-        self._send(
-            status, json.dumps(payload).encode("utf-8"), "application/json", extra
-        )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
-
-    def _fail(self, exc: Exception) -> None:
-        status = exc.status if isinstance(exc, ServingError) else 400
-        extra: dict[str, str] | None = None
-        retry_after = getattr(exc, "retry_after_s", None)
-        if retry_after is not None:
-            extra = {"Retry-After": str(max(1, round(retry_after)))}
-        self._send_json(status, {"error": str(exc)}, extra)
-
-    def _request_deadline(self) -> Deadline | None:
-        """Parse + pre-enforce the ``X-Deadline-Ms`` budget at ingress.
-
-        The same budget object is decremented across every downstream
-        hop this request makes (lanes, failovers, scatter retries) —
-        each hop sends the *remaining* milliseconds.
-        """
-        try:
-            deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
-        except ValueError as exc:
-            raise ServingError(
-                400, f"invalid {DEADLINE_HEADER} header: {exc}"
-            ) from None
-        if deadline is not None and deadline.expired:
-            self.close_connection = True
-            raise ServingError(504, "deadline exhausted before processing")
-        return deadline
-
-    def _drain_body(self, body: Any) -> None:
-        """Consume the rest of a request body after a failure."""
-        budget = MAX_BODY_BYTES
-        try:
-            while budget > 0:
-                piece = body.read(min(65536, budget))
-                if not piece:
-                    return
-                budget -= len(piece)
-        except Exception:
-            pass
-        self.close_connection = True
-
-    def _hop_span(self, name: str) -> Any:
-        """Open a child span for one downstream hop (None when untraced)."""
-        return start_span(
-            self.server.trace_sink,
-            name,
-            getattr(self, "_trace_id", None),
-            getattr(self, "_parent_span", None),
-        )
-
-    def _trace_headers(self, headers: dict[str, str], span: Any) -> None:
-        """Propagate this request's trace context onto a downstream hop.
-
-        The hop's own span id becomes the downstream parent, so worker
-        spans hang off the proxy hop that carried them.
-        """
-        trace_id = getattr(self, "_trace_id", None)
-        if not trace_id:
-            return
-        headers[TRACE_HEADER] = trace_id
-        parent = (
-            span.span_id if span is not None else getattr(self, "_parent_span", None)
-        )
-        if parent:
-            headers[PARENT_HEADER] = parent
-
-    # -- endpoints ----------------------------------------------------- #
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._observed(self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._observed(self._handle_post)
+    _METRIC_PATHS = _BaseHandler._METRIC_PATHS | {
+        "/admin/status",
+        "/admin/rollout",
+        "/admin/metrics",
+    }
 
     def _handle_get(self) -> None:
-        try:
-            if self.path == "/metrics":
-                body = obs_prometheus.render_registry(self.server.metrics)
-                self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
-            elif self.path == "/admin/metrics":
-                body = self.server.aggregate_metrics()
-                self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
-            elif self.path == "/admin/status":
-                payload = self.server.fleet.status()
-                payload["breakers"] = self.server.breakers.snapshot()
-                self._send_json(200, payload)
-            else:
-                self._forward("GET", body=None)
-        except Exception as exc:
-            self._fail(exc)
+        if self.path == "/metrics":
+            body = obs_prometheus.render_registry(self.server.metrics)
+            self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
+        elif self.path == "/admin/metrics":
+            body = self.server.aggregate_metrics()
+            self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
+        elif self.path == "/admin/status":
+            payload = self.server.fleet.status()
+            payload["breakers"] = self.server.breakers.snapshot()
+            self._send_json(200, payload)
+        else:
+            self._forward("GET", body=None)
 
     def _handle_post(self) -> None:
-        try:
-            if self.path == "/admin/rollout":
-                self._do_rollout()
-            elif self.path == "/reload":
-                self._read_body()  # drain so keep-alive stays in sync
-                raise ServingError(
-                    403,
-                    "per-worker reload through the proxy would fork the "
-                    "fleet version; use POST /admin/rollout",
-                )
-            elif self.path == "/assign":
-                self._do_assign()
-            else:
-                self._forward("POST", body=self._read_body())
-        except Exception as exc:
-            self._fail(exc)
+        if self.path == "/admin/rollout":
+            self._do_rollout()
+        elif self.path == "/reload":
+            self._read_body()  # drain so keep-alive stays in sync
+            raise ServingError(
+                403,
+                "per-worker reload through the proxy would fork the "
+                "fleet version; use POST /admin/rollout",
+            )
+        elif self.path == "/assign":
+            self._do_assign()
+        else:
+            self._forward("POST", body=self._read_body())
 
     def _do_rollout(self) -> None:
         body = self._read_body()
@@ -861,10 +730,9 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
             request_headers: dict[str, str] = {}
             if deadline is not None:
                 request_headers[DEADLINE_HEADER] = deadline.header_value()
-            span = self._hop_span("proxy.forward")
+            span = self._hop_span("proxy.forward", request_headers)
             if span is not None:
                 span.set(worker=index, path=self.path)
-            self._trace_headers(request_headers, span)
             client = self.server.client_for(index, url)
             try:
                 status, headers, payload = client.request_raw(
@@ -947,15 +815,6 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
                 time.perf_counter() - start
             )
 
-    def _stream_body_reader(self) -> Any:
-        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return _BoundedBodyReader(self.rfile, length)
-
     def _scatter_stream(self, deadline: Deadline | None = None) -> None:
         """Deal a streamed request across the fleet as it uploads.
 
@@ -976,8 +835,7 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
                 accept=reader.accept,
                 distances=reader.distances,
                 deadline=deadline,
-                trace_id=getattr(self, "_trace_id", None),
-                parent_id=getattr(self, "_parent_span", None),
+                hop_span=self._hop_span,
             )
             for payload in reader.raw_frames():
                 frames.append(payload)
@@ -1001,13 +859,9 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
         # codec (identical negotiation makes this a no-op in practice).
         response_codec = results[0][2]
         response_distances = results[0][3]
-        self.send_response(200)
-        self.send_header("Content-Type", STREAM_CONTENT_TYPE)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header(VERSION_HEADER, results[0][1])
-        self.send_header(WORKER_HEADER, _workers(results))
-        self.end_headers()
-        writer = _HTTPChunkWriter(self.wfile)
+        writer = self._start_stream(
+            {VERSION_HEADER: results[0][1], WORKER_HEADER: _workers(results)}
+        )
         writer.write(
             wire.encode_header(response_codec, distances=response_distances)
         )
@@ -1038,8 +892,7 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
             accept=None,
             distances=False,
             deadline=deadline,
-            trace_id=getattr(self, "_trace_id", None),
-            parent_id=getattr(self, "_parent_span", None),
+            hop_span=self._hop_span,
         )
         dealer.deal_rows(points)
         results, pairs = self._gather(dealer, lambda fresh: fresh.deal_rows(points))
@@ -1091,50 +944,3 @@ class _ProxyHandler(_TelemetryMixin, BaseHTTPRequestHandler):
 def _workers(results: list[_LaneResult]) -> str:
     """``X-Fleet-Worker`` value: every contributing worker, once each."""
     return ",".join(dict.fromkeys(str(result[0]) for result in results))
-
-
-def _stream_exchange(
-    client: ServingClient,
-    body: Any,
-    headers: dict[str, str] | None = None,
-    deadline: Deadline | None = None,
-) -> tuple[str, str, bool, list[bytes]]:
-    """Send one wire-format body factory to a worker; collect raw label
-    frames."""
-    status, headers_out, response = client._exchange(
-        "POST", "/assign", body, STREAM_CONTENT_TYPE, headers=headers,
-        deadline=deadline,
-    )
-    if status >= 400:
-        payload = response.read()
-        try:
-            message = json.loads(payload.decode("utf-8")).get("error", "")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            message = payload.decode("utf-8", "replace")
-        raise ServingClientError(status, message)
-    try:
-        reader = wire.StreamReader(response.read)
-        reader.read_header()
-        payloads = list(reader.raw_frames())
-        while response.read(65536):  # past the HTTP chunked last-chunk
-            pass
-    except wire.WireError as exc:
-        client.close()  # mid-body failure: the connection is desynced
-        raise ServingClientError(502, f"invalid stream response: {exc}") from exc
-    except (http.client.HTTPException, OSError) as exc:
-        # The worker died (or was killed) mid-response: the run is
-        # replayable, so surface the failover-triggering type.
-        client.close()
-        if isinstance(exc, TimeoutError):
-            raise ServingTimeoutError(
-                f"{client.address} stalled mid-stream: {exc}"
-            ) from exc
-        raise ServingUnavailableError(
-            f"{client.address} cut the stream short: {exc}"
-        ) from exc
-    return (
-        headers_out.get(VERSION_HEADER, ""),
-        reader.codec,
-        reader.distances,
-        payloads,
-    )

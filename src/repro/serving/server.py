@@ -630,13 +630,18 @@ class _HTTPChunkWriter:
         self._wfile.write(b"0\r\n\r\n")
 
 
-class _TelemetryMixin:
-    """Request counting + trace-id stamping shared by server and proxy.
+class _BaseHandler(BaseHTTPRequestHandler):
+    """Request plumbing shared by the server's and the proxy's handlers.
 
-    The owning server object must expose ``_m_requests`` (a labelled
-    counter family); handlers route ``do_GET``/``do_POST`` through
-    :meth:`_observed`.
+    Body limits, ``X-Deadline-Ms`` parsing, the JSON error envelope, the
+    chunked stream-response head, request counting and trace stamping
+    live here once. Subclasses implement ``_handle_get`` /
+    ``_handle_post`` and raise :class:`ServingError` for a typed status;
+    the owning server exposes ``quiet``, ``trace_sink`` and
+    ``_m_requests`` (a labelled request counter).
     """
+
+    protocol_version = "HTTP/1.1"
 
     #: Paths kept as-is in the request-counter label; anything else is
     #: folded into ``other`` so scanners can't mint unbounded series.
@@ -644,35 +649,10 @@ class _TelemetryMixin:
         {"/assign", "/healthz", "/model", "/reload", "/metrics"}
     )
 
-    def send_response(self, code: int, message: str | None = None) -> None:
-        # One chokepoint stamps every response — JSON errors, npy
-        # bodies, and chunked streams alike — with the request's trace
-        # id, and remembers the code for the request counter.
-        super().send_response(code, message)
-        self._sent_status = code
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header(TRACE_HEADER, trace_id)
-
-    def _observed(self, inner: Any) -> None:
-        """Run one request handler with counting + trace context."""
-        self._sent_status = 0
-        self._trace_id = self.headers.get(TRACE_HEADER) or None
-        self._parent_span = self.headers.get(PARENT_HEADER) or None
-        try:
-            inner()
-        finally:
-            path = self.path if self.path in self._METRIC_PATHS else "other"
-            self.server._m_requests.labels(
-                path=path, method=self.command, code=str(self._sent_status)
-            ).inc()
-
-
-class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: AssignmentServer  # narrowed for type checkers
-
-    # -- plumbing ------------------------------------------------------ #
+    # Set per request by _observed; the stdlib's own error responses
+    # (a garbled request line) go out before it runs.
+    _trace_id: str | None = None
+    _parent_span: str | None = None
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.server.quiet:
@@ -683,44 +663,81 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
         # AF_UNIX peers have no (host, port) pair — client_address is ''.
         return client[0] if isinstance(client, tuple) and client else "uds"
 
+    def send_response(self, code: int, message: str | None = None) -> None:
+        # One chokepoint stamps every response — JSON errors, npy
+        # bodies, and chunked streams alike — with the request's trace
+        # id, and remembers the code for the request counter.
+        super().send_response(code, message)
+        self._sent_status = code
+        if self._trace_id:
+            self.send_header(TRACE_HEADER, self._trace_id)
+
+    def do_GET(self) -> None:  # noqa: N802
+        self._observed(self._handle_get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._observed(self._handle_post)
+
+    def _observed(self, handle: Any) -> None:
+        """Run one request handler with counting, trace context and the
+        JSON error envelope."""
+        self._sent_status = 0
+        self._trace_id = self.headers.get(TRACE_HEADER) or None
+        self._parent_span = self.headers.get(PARENT_HEADER) or None
+        try:
+            handle()
+        except _InjectedSever:
+            self._sever_connection()
+        except Exception as exc:  # every failure becomes a JSON error
+            self._fail(exc)
+        finally:
+            path = self.path if self.path in self._METRIC_PATHS else "other"
+            self.server._m_requests.labels(
+                path=path, method=self.command, code=str(self._sent_status)
+            ).inc()
+
     def _send(
-        self, status: int, body: bytes, content_type: str, version: str | None = None
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict[str, str] | None = None,
     ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if version is not None:
-            self.send_header(VERSION_HEADER, version)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
     def _send_json(
-        self, status: int, payload: dict[str, Any], version: str | None = None
+        self,
+        status: int,
+        payload: dict[str, Any],
+        headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send(status, body, "application/json", version)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            # The body stays unread; close the connection after the 413
-            # so a keep-alive client cannot desynchronize on the leftover
-            # bytes being parsed as the next request line.
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length) if length else b""
+        self._send(
+            status, json.dumps(payload).encode("utf-8"), "application/json", headers
+        )
 
     def _fail(self, exc: Exception) -> None:
         status = exc.status if isinstance(exc, ServingError) else 400
-        body = json.dumps({"error": str(exc)}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
         retry_after = getattr(exc, "retry_after_s", None)
+        headers = None
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
+            headers = {"Retry-After": str(max(1, round(retry_after)))}
+        self._send_json(status, {"error": str(exc)}, headers)
+
+    def _start_stream(self, headers: dict[str, str]) -> _HTTPChunkWriter:
+        """Send a 200 chunked stream-response head; returns its body writer."""
+        self.send_response(200)
+        self.send_header("Content-Type", STREAM_CONTENT_TYPE)
+        self.send_header("Transfer-Encoding", "chunked")
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        return _HTTPChunkWriter(self.wfile)
 
     def _sever_connection(self) -> None:
         """Cut the socket dead mid-exchange (injected fault only)."""
@@ -734,109 +751,154 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
         except OSError:
             pass
 
+    def _refuse_unread(self, status: int, message: str) -> ServingError:
+        """A refusal that leaves the request body unread: the connection
+        closes after the response, so a keep-alive client cannot
+        desynchronize on the leftover bytes parsed as its next request."""
+        self.close_connection = True
+        return ServingError(status, message)
+
+    def _content_length(self) -> int:
+        """The declared body length, checked before any byte is read."""
+        value = self.headers.get("Content-Length", "0")
+        try:
+            length = int(value)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise self._refuse_unread(400, f"invalid Content-Length {value!r}")
+        if length > MAX_BODY_BYTES:
+            raise self._refuse_unread(
+                413, f"request body exceeds {MAX_BODY_BYTES} bytes"
+            )
+        return length
+
+    def _read_body(self) -> bytes:
+        length = self._content_length()
+        return self.rfile.read(length) if length else b""
+
+    def _stream_body_reader(self) -> Any:
+        """``read(n)`` callable over the raw request body bytes."""
+        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
+            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
+        return _BoundedBodyReader(self.rfile, self._content_length())
+
+    def _drain_body(self, body: Any) -> None:
+        """Consume the rest of a request body after a failure."""
+        budget = MAX_BODY_BYTES
+        try:
+            while budget > 0:
+                piece = body.read(min(65536, budget))
+                if not piece:
+                    return
+                budget -= len(piece)
+        except Exception:
+            pass
+        self.close_connection = True
+
     def _request_deadline(self) -> Deadline | None:
         """Parse and pre-enforce the request's ``X-Deadline-Ms`` budget.
 
         Runs before the body is read or any buffer allocated: work
         whose budget is already spent is refused with a 504 — the
         client gave up, so computing the answer only burns capacity.
-        The unread body would desync keep-alive, hence the sever.
+        The same budget object is decremented across every downstream
+        hop the request makes (proxy lanes, failovers, re-deals): each
+        hop sends the *remaining* milliseconds.
         """
         try:
             deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
         except ValueError as exc:
-            raise ServingError(
+            raise self._refuse_unread(
                 400, f"invalid {DEADLINE_HEADER} header: {exc}"
             ) from None
         if deadline is not None and deadline.expired:
-            self.close_connection = True
-            raise ServingError(504, "deadline exhausted before processing")
+            raise self._refuse_unread(504, "deadline exhausted before processing")
         return deadline
 
-    # -- endpoints ----------------------------------------------------- #
+    def _hop_span(self, name: str, headers: dict[str, str] | None = None) -> Any:
+        """Open a child span for one hop (None when untraced).
 
-    def do_GET(self) -> None:  # noqa: N802
-        self._observed(self._handle_get)
+        With *headers*, also propagate the request's trace context onto
+        that downstream request: the hop's own span id becomes the
+        downstream parent, so worker spans hang off the proxy hop that
+        carried them.
+        """
+        span = start_span(
+            self.server.trace_sink, name, self._trace_id, self._parent_span
+        )
+        if headers is not None and self._trace_id:
+            headers[TRACE_HEADER] = self._trace_id
+            parent = span.span_id if span is not None else self._parent_span
+            if parent:
+                headers[PARENT_HEADER] = parent
+        return span
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._observed(self._handle_post)
+
+class _Handler(_BaseHandler):
+    server: AssignmentServer  # narrowed for type checkers
 
     def _handle_get(self) -> None:
-        try:
-            if self.path == "/metrics":
-                # Served even with no model loaded: a scrape must not
-                # depend on the thing it exists to observe.
-                body = obs_prometheus.render_registry(self.server.metrics)
-                self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
-                return
-            self.server.maybe_reload()
-            if self.path == "/healthz":
-                snap = self.server.snapshot()
-                self._send_json(
-                    200,
-                    {
-                        "status": "ok",
-                        "version": snap.version,
-                        "follow": self.server.follow,
-                        "uptime_s": round(
-                            time.monotonic() - self.server.started_at, 3
-                        ),
+        if self.path == "/metrics":
+            # Served even with no model loaded: a scrape must not
+            # depend on the thing it exists to observe.
+            body = obs_prometheus.render_registry(self.server.metrics)
+            self._send(200, body.encode("utf-8"), obs_prometheus.CONTENT_TYPE)
+            return
+        self.server.maybe_reload()
+        if self.path == "/healthz":
+            snap = self.server.snapshot()
+            self._send_json(
+                200,
+                {
+                    "status": "ok",
+                    "version": snap.version,
+                    "follow": self.server.follow,
+                    "uptime_s": round(time.monotonic() - self.server.started_at, 3),
+                },
+                {VERSION_HEADER: snap.version},
+            )
+        elif self.path == "/model":
+            snap = self.server.snapshot()
+            self._send_json(
+                200,
+                {
+                    "version": snap.version,
+                    "method": snap.model.config.method,
+                    "k": snap.model.k,
+                    "n_features": snap.model.n_features,
+                    "attributes": snap.model.attribute_names,
+                    "summary": snap.model.summary(),
+                    "stream": {
+                        "content_type": STREAM_CONTENT_TYPE,
+                        "codecs": list(wire.available_codecs()),
+                        "distances": True,
                     },
-                    snap.version,
-                )
-            elif self.path == "/model":
-                snap = self.server.snapshot()
-                self._send_json(
-                    200,
-                    {
-                        "version": snap.version,
-                        "method": snap.model.config.method,
-                        "k": snap.model.k,
-                        "n_features": snap.model.n_features,
-                        "attributes": snap.model.attribute_names,
-                        "summary": snap.model.summary(),
-                        "stream": {
-                            "content_type": STREAM_CONTENT_TYPE,
-                            "codecs": list(wire.available_codecs()),
-                            "distances": True,
-                        },
-                    },
-                    snap.version,
-                )
-            else:
-                raise ServingError(404, f"unknown path {self.path!r}")
-        except Exception as exc:  # every failure becomes a JSON error
-            self._fail(exc)
+                },
+                {VERSION_HEADER: snap.version},
+            )
+        else:
+            raise ServingError(404, f"unknown path {self.path!r}")
 
     def _handle_post(self) -> None:
-        try:
-            if self.path == "/assign":
-                self.server.maybe_reload()
-                self._do_assign()
-            elif self.path == "/reload":
-                body = self._read_body()  # drain so keep-alive stays in sync
-                changed = self.server.reload(
-                    force=True, version=_decode_reload(body)
-                )
-                snap = self.server.snapshot()
-                self._send_json(
-                    200, {"version": snap.version, "changed": changed}, snap.version
-                )
-            else:
-                raise ServingError(404, f"unknown path {self.path!r}")
-        except _InjectedSever:
-            self._sever_connection()
-        except Exception as exc:
-            self._fail(exc)
+        if self.path == "/assign":
+            self.server.maybe_reload()
+            self._do_assign()
+        elif self.path == "/reload":
+            body = self._read_body()  # drain so keep-alive stays in sync
+            changed = self.server.reload(force=True, version=_decode_reload(body))
+            snap = self.server.snapshot()
+            self._send_json(
+                200,
+                {"version": snap.version, "changed": changed},
+                {VERSION_HEADER: snap.version},
+            )
+        else:
+            raise ServingError(404, f"unknown path {self.path!r}")
 
     def _do_assign(self) -> None:
         self._request_deadline()  # refuse spent budgets pre-allocation
-        span = start_span(
-            self.server.trace_sink,
-            "server.assign",
-            getattr(self, "_trace_id", None),
-            getattr(self, "_parent_span", None),
-        )
+        span = self._hop_span("server.assign")
         if span is None:
             self._assign_work(None)
             return
@@ -877,7 +939,7 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
             out = io.BytesIO()
             np.save(out, labels, allow_pickle=False)
             payload = out.getvalue()
-            self._send(200, payload, NPY_CONTENT_TYPE, snap.version)
+            self._send(200, payload, NPY_CONTENT_TYPE, {VERSION_HEADER: snap.version})
         else:
             payload = json.dumps(
                 {
@@ -886,7 +948,9 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                     "labels": labels.tolist(),
                 }
             ).encode("utf-8")
-            self._send(200, payload, "application/json", snap.version)
+            self._send(
+                200, payload, "application/json", {VERSION_HEADER: snap.version}
+            )
         server = self.server
         server._m_latency.labels(mode=mode).observe(time.perf_counter() - start)
         server._m_rows.labels(mode=mode).inc(float(labels.shape[0]))
@@ -899,29 +963,6 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                 bytes_in=len(body),
                 bytes_out=len(payload),
             )
-
-    def _stream_body_reader(self) -> Any:
-        """``read(n)`` callable over the raw request body bytes."""
-        if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
-            return _ChunkedBodyReader(self.rfile, MAX_BODY_BYTES)
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            raise ServingError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        return _BoundedBodyReader(self.rfile, length)
-
-    def _drain_body(self, body: Any) -> None:
-        """Consume the rest of a request body after a failure."""
-        budget = MAX_BODY_BYTES
-        try:
-            while budget > 0:
-                piece = body.read(min(65536, budget))
-                if not piece:
-                    return
-                budget -= len(piece)
-        except Exception:
-            pass
-        self.close_connection = True
 
     def _do_assign_stream(
         self, snap: _Snapshot, start: float, span: Any
@@ -991,12 +1032,7 @@ class _Handler(_TelemetryMixin, BaseHTTPRequestHandler):
                 else:
                     yield item
 
-        self.send_response(200)
-        self.send_header("Content-Type", STREAM_CONTENT_TYPE)
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header(VERSION_HEADER, snap.version)
-        self.end_headers()
-        writer = _HTTPChunkWriter(self.wfile)
+        writer = self._start_stream({VERSION_HEADER: snap.version})
         if stream_event is not None and stream_event.kind in (
             "disconnect",
             "truncate",

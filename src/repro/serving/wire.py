@@ -382,27 +382,7 @@ class StreamReader:
             WireFrameSizeError: a frame beyond ``max_frame_bytes``.
             WireFormatError: undecodable frame payload.
         """
-        if not self._header_read:
-            self.read_header()
-        while True:
-            prefix = read_exact(self._read, _LENGTH.size)
-            (length,) = _LENGTH.unpack(prefix)
-            if length == 0:
-                return
-            if length > self.max_frame_bytes:
-                raise WireFrameSizeError(
-                    f"frame of {length} bytes exceeds the "
-                    f"{self.max_frame_bytes}-byte frame cap"
-                )
-            self.total_bytes += length
-            if (
-                self.max_total_bytes is not None
-                and self.total_bytes > self.max_total_bytes
-            ):
-                raise WireFrameSizeError(
-                    f"stream exceeds the {self.max_total_bytes}-byte body cap"
-                )
-            payload = read_exact(self._read, int(length))
+        for payload in self.raw_frames():
             yield decode_npy(_decompress(self.codec, payload))
 
     def raw_frames(self) -> Iterator[bytes]:

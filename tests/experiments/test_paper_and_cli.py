@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro.api import ClusterModel, RunConfig
 from repro.experiments.paper import (
     EXPERIMENTS,
     BenchSettings,
@@ -236,6 +237,24 @@ def test_cli_fit_fairness_method_without_sensitive_arrays_is_usage_error(capsys,
         cli.main(["fit", "--data", str(data_path), "-k", "2", "--out", str(tmp_path / "m")])
     assert err.value.code == 2
     assert "needs sensitive attributes" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("data_name", ["points.parquet", "missing.npy"])
+def test_cli_unreadable_data_file_is_usage_error(command, data_name, capsys, tmp_path):
+    data_path = tmp_path / data_name
+    if data_path.suffix == ".parquet":
+        data_path.write_bytes(b"")  # exists, but no loader for the suffix
+    if command == "fit":
+        argv = ["fit", "-k", "2", "--out", str(tmp_path / "m")]
+    else:
+        model = ClusterModel(np.zeros((2, 2)), RunConfig(method="kmeans", k=2))
+        argv = ["predict", "--model", str(model.save(tmp_path / "model"))]
+    with pytest.raises(SystemExit) as err:
+        cli.main([*argv, "--data", str(data_path)])
+    assert err.value.code == 2
+    assert f"--data {data_path}" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 
