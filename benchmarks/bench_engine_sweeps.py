@@ -16,9 +16,11 @@ stays within a quality band of the exact objective.
 Measurements go through the :mod:`repro.perf.harness` emitter:
 ``results/BENCH_engine_sweeps.json`` holds the records (speedup column
 is vs the sequential engine) and ``results/engine_sweeps.txt`` is
-rendered from that JSON. The jobs axis lives in ``repro bench`` /
-``results/BENCH_engine.json``. ``REPRO_BENCH_ENGINE_N`` overrides the
-problem size.
+rendered from that JSON. The jobs axis is not timed here: identical
+labels at every ``workers`` count are tier-1 tests
+(``tests/core/test_parallel.py``), and worker-*process* scaling is
+``repro bench backend`` / ``results/BENCH_backend.json``.
+``REPRO_BENCH_ENGINE_N`` overrides the problem size.
 """
 
 from __future__ import annotations

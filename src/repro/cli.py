@@ -242,16 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the perf suites and emit machine-readable BENCH_*.json; "
         "'bench compare' diffs two records",
-        description="Run the engine/assignment/serving/fleet/backend "
-        "benchmark suites across worker counts, write schema-validated "
-        "BENCH_engine.json / BENCH_assign.json / BENCH_serve.json / "
-        "BENCH_fleet.json / BENCH_backend.json under results/, and print "
-        "the rendered tables. 'repro bench compare BASELINE CURRENT' diffs "
-        "two bench files and exits nonzero on rows/s regressions.",
+        description="Run the assignment/serving/fleet/backend benchmark "
+        "suites across worker counts, write schema-validated "
+        "BENCH_assign.json / BENCH_serve.json / BENCH_fleet.json / "
+        "BENCH_backend.json under results/, and print the rendered tables. "
+        "'repro bench compare BASELINE CURRENT' diffs two bench files, runs "
+        "the current file's suite gate (fleet, backend, or observability for "
+        "serve) and exits nonzero on a rows/s regression or a failed gate.",
     )
     p_bench.add_argument(
         "suite", nargs="?",
-        choices=["engine", "assign", "serve", "fleet", "backend", "all", "compare"],
+        choices=["assign", "serve", "fleet", "backend", "all", "compare"],
         default="all",
         help="suite to run (default all), or 'compare' to diff two records",
     )
@@ -269,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--repeats", type=positive_int, default=None,
-        help="timing repeats, best-of (default: 1 engine / 3 assign+serve)",
+        help="timing repeats, best-of (default: 3 assign/serve/fleet, "
+        "1 backend; 1 everywhere under --smoke)",
     )
     p_bench.add_argument(
         "--out", "-o", type=Path, default=None,
@@ -279,18 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=None,
         help="for 'compare': minimum current/baseline rows/s ratio "
         "before a record counts as regressed (default 0.9)",
-    )
-    p_bench.add_argument(
-        "--from-actions", action="store_true",
-        help="for 'compare' with ONE file: fetch the baseline from the "
-        "previous successful run's bench artifact via the GitHub actions "
-        "API (needs GITHUB_REPOSITORY + GITHUB_TOKEN); falls back to a "
-        "same-run self-comparison when no artifact exists yet",
-    )
-    p_bench.add_argument(
-        "--artifact-name", default="bench-results", metavar="NAME",
-        help="for 'compare --from-actions': artifact name to fetch "
-        "(default bench-results)",
     )
 
     # ----------------------------------------------------------- chaos #
@@ -798,33 +788,13 @@ def _bench_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         compare_bench_files,
         fleet_gate,
         obs_gate,
-        render_backend_gate,
         render_comparison,
-        render_fleet_gate,
-        render_obs_gate,
+        render_gate,
     )
 
-    if args.from_actions:
-        if len(args.paths) != 1:
-            parser.error("bench compare --from-actions needs exactly one "
-                         "file: CURRENT")
-        from .perf.actions import fetch_baseline
-
-        current = args.paths[0]
-        baseline = fetch_baseline(
-            args.artifact_name, current.name, current.parent / "baseline"
-        )
-        if baseline is None:
-            # First run / no token / expired artifact: gate against the
-            # same-run file so the fleet gate below still runs.
-            print("bench compare: no cross-run baseline; "
-                  "comparing the current file against itself")
-            baseline = current
-    else:
-        if len(args.paths) != 2:
-            parser.error("bench compare needs exactly two files: "
-                         "BASELINE CURRENT (or --from-actions CURRENT)")
-        baseline, current = args.paths
+    if len(args.paths) != 2:
+        parser.error("bench compare needs exactly two files: BASELINE CURRENT")
+    baseline, current = args.paths
     try:
         comparison = compare_bench_files(
             baseline,
@@ -837,24 +807,14 @@ def _bench_compare(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     print(render_comparison(comparison))
     ok = comparison.ok
     current_payload = json.loads(Path(current).read_text(encoding="utf-8"))
-    if current_payload.get("suite") == "fleet":
-        # The fleet suite carries its own scaling acceptance bar: worker
-        # processes must multiply throughput, monotonically.
-        report = fleet_gate(current_payload)
-        print(render_fleet_gate(report))
-        ok = ok and report.ok
-    if current_payload.get("suite") == "backend":
-        # Same idea for training: the multiprocess backend must beat the
-        # single-process fit at gate-worthy n (hardware-aware, like the
-        # fleet gate: impossible bars become notes, not failures).
-        report = backend_gate(current_payload)
-        print(render_backend_gate(report))
-        ok = ok and report.ok
-    if current_payload.get("suite") == "serve":
-        # The serve suite measures an uninstrumented twin alongside the
-        # default server: telemetry on the hot path must stay near-free.
-        report = obs_gate(current_payload)
-        print(render_obs_gate(report))
+    # Suites with their own acceptance bar, checked on the current file
+    # alone: fleet workers and training processes must multiply
+    # throughput, and serving telemetry must stay near-free.
+    gates = {"fleet": fleet_gate, "backend": backend_gate, "serve": obs_gate}
+    gate = gates.get(current_payload.get("suite"))
+    if gate is not None:
+        report = gate(current_payload)
+        print(render_gate(report))
         ok = ok and report.ok
     return 0 if ok else 1
 

@@ -12,6 +12,11 @@ A matched pair regresses when ``current.rows_per_s`` falls below
 nonzero so CI can gate on it. Records present on only one side are
 reported (a disappearing workload is information, not a crash) but do
 not fail the comparison.
+
+The current file is also held to its suite's own bar, which needs no
+baseline file: :func:`fleet_gate` (fleet), :func:`backend_gate`
+(backend) and :func:`obs_gate` (serve) each return a
+:class:`GateReport`, which :func:`render_gate` prints.
 """
 
 from __future__ import annotations
@@ -133,439 +138,6 @@ def compare_bench_files(
     return compare_bench(baseline, current, threshold=threshold)
 
 
-#: Fleet-gate knobs: the top fleet size must beat the single server by
-#: this factor, and speedup may not drop more than the tolerance allows
-#: between consecutive fleet sizes (shared CI runners are noisy).
-FLEET_GATE_MIN_SPEEDUP = 1.0
-FLEET_GATE_MONOTONE_TOLERANCE = 0.9
-
-
-@dataclass(frozen=True)
-class FleetGateRow:
-    """Fleet-vs-single-server throughput at one (n, fleet size)."""
-
-    n: int
-    jobs: int
-    single_rows_per_s: float
-    fleet_rows_per_s: float
-
-    @property
-    def speedup(self) -> float:
-        if self.single_rows_per_s <= 0:
-            return float("inf")
-        return self.fleet_rows_per_s / self.single_rows_per_s
-
-
-@dataclass(frozen=True)
-class FleetGateReport:
-    """Scaling verdict for one ``BENCH_fleet.json`` payload."""
-
-    rows: list[FleetGateRow] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.rows) and not self.problems
-
-
-def fleet_gate(
-    payload: dict[str, Any],
-    *,
-    min_speedup: float = FLEET_GATE_MIN_SPEEDUP,
-    monotone_tolerance: float = FLEET_GATE_MONOTONE_TOLERANCE,
-) -> FleetGateReport:
-    """Check that the fleet multiplies throughput instead of taxing it.
-
-    For every batch size *n* in a fleet suite payload, the
-    ``fleet_http_npy`` speedup over the same-*n* ``serve_http_single``
-    record must
-
-    * be **> min_speedup at the largest fleet size** — the fleet's whole
-      reason to exist (a 1-worker fleet is a failover device and pays
-      the proxy hop, so it is reported but not held to the bar), and
-    * be **monotone in worker count** up to the tolerance — adding a
-      worker process may never cost throughput.
-
-    Both bars are **hardware-aware**: fleet records carry the recording
-    host's ``cpu_count`` in ``extra``, and worker processes beyond the
-    core count cannot add compute, so the speedup bar applies to the
-    largest fleet size **that fits the cores** and the monotone check
-    stops there too. On a single-core host neither bar is enforceable
-    (every extra process is pure context-switch tax) — the report then
-    carries a ``notes`` entry instead of a failure, and CI's multi-core
-    runners remain the place where the gate bites.
-
-    Returns a report whose ``problems`` list is empty when the gate
-    passes; ``repro bench compare`` exits nonzero otherwise.
-    """
-    validate_bench(payload)
-    singles = {
-        r["n"]: float(r["rows_per_s"])
-        for r in payload["records"]
-        if r["workload"] == "serve_http_single"
-    }
-    fleet_records: dict[int, list[tuple[int, float]]] = {}
-    cpu_count: int | None = None
-    for record in payload["records"]:
-        if record["workload"] == "fleet_http_npy":
-            fleet_records.setdefault(record["n"], []).append(
-                (int(record["jobs"]), float(record["rows_per_s"]))
-            )
-            cores = record.get("extra", {}).get("cpu_count")
-            if isinstance(cores, int) and cores > 0:
-                cpu_count = cores
-    rows: list[FleetGateRow] = []
-    problems: list[str] = []
-    notes: list[str] = []
-    if not fleet_records:
-        problems.append("no fleet_http_npy records to gate on")
-    for n in sorted(fleet_records):
-        single = singles.get(n)
-        if single is None:
-            problems.append(f"n={n}: no serve_http_single baseline record")
-            continue
-        ladder = sorted(fleet_records[n])
-        for jobs, rate in ladder:
-            rows.append(FleetGateRow(n, jobs, single, rate))
-        # Worker processes beyond the recording host's cores cannot add
-        # compute: gate on the largest fleet size the hardware supports.
-        gated = ladder
-        if cpu_count is not None:
-            gated = [(jobs, rate) for jobs, rate in ladder if jobs <= cpu_count]
-        if len(gated) <= 1 < len(ladder):
-            notes.append(
-                f"n={n}: host has {cpu_count} core(s) — fleet scaling is "
-                "not enforceable on this machine, reporting only"
-            )
-            continue
-        top_jobs, top_rate = gated[-1]
-        top_speedup = float("inf") if single <= 0 else top_rate / single
-        if len(gated) > 1 and top_speedup <= min_speedup:
-            problems.append(
-                f"n={n}: fleet of {top_jobs} reaches only "
-                f"{top_speedup:.2f}x the single server (need > "
-                f"{min_speedup:.2f}x) — the fleet is a tax, not a multiplier"
-            )
-        for (jobs_a, rate_a), (jobs_b, rate_b) in zip(gated, gated[1:]):
-            if rate_b < monotone_tolerance * rate_a:
-                problems.append(
-                    f"n={n}: throughput fell from {rate_a / 1e6:.2f} M/s at "
-                    f"{jobs_a} worker(s) to {rate_b / 1e6:.2f} M/s at "
-                    f"{jobs_b} — scaling is not monotone"
-                )
-    return FleetGateReport(rows=rows, problems=problems, notes=notes)
-
-
-def render_fleet_gate(report: FleetGateReport) -> str:
-    """Human-readable fleet-gate table + verdict."""
-    from ..experiments.tables import format_table
-
-    rows = [
-        [
-            f"{row.n:,}",
-            str(row.jobs),
-            f"{row.single_rows_per_s / 1e6:.2f}",
-            f"{row.fleet_rows_per_s / 1e6:.2f}",
-            f"{row.speedup:.2f}x",
-        ]
-        for row in report.rows
-    ]
-    table = format_table(
-        ["n", "workers", "single M/s", "fleet M/s", "speedup"],
-        rows,
-        title="Fleet scaling gate (fleet_http_npy vs serve_http_single)",
-    )
-    lines = [table]
-    lines.extend(f"  note: {note}" for note in report.notes)
-    lines.extend(f"  GATE: {problem}" for problem in report.problems)
-    lines.append(
-        "fleet gate passed" if report.ok else "fleet gate FAILED"
-    )
-    return "\n".join(lines)
-
-
-#: Backend-gate knobs: multiprocess training must beat the single-process
-#: fit, but only at sizes where compute outweighs IPC — CI smoke sizes
-#: (thousands of rows) sit below the floor and are reported, not gated.
-BACKEND_GATE_MIN_SPEEDUP = 1.0
-BACKEND_GATE_MIN_N = 100_000
-
-
-@dataclass(frozen=True)
-class BackendGateRow:
-    """Multiprocess-vs-local fit throughput at one (n, worker count)."""
-
-    n: int
-    jobs: int
-    local_rows_per_s: float
-    multiprocess_rows_per_s: float
-
-    @property
-    def speedup(self) -> float:
-        if self.local_rows_per_s <= 0:
-            return float("inf")
-        return self.multiprocess_rows_per_s / self.local_rows_per_s
-
-
-@dataclass(frozen=True)
-class BackendGateReport:
-    """Scaling verdict for one ``BENCH_backend.json`` payload."""
-
-    rows: list[BackendGateRow] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.rows) and not self.problems
-
-
-def backend_gate(
-    payload: dict[str, Any],
-    *,
-    min_speedup: float = BACKEND_GATE_MIN_SPEEDUP,
-    min_n: int = BACKEND_GATE_MIN_N,
-) -> BackendGateReport:
-    """Check that the multiprocess backend buys wall-clock, not just IPC.
-
-    For every size *n* in a backend suite payload, the
-    ``backend_multiprocess_fit`` speedup over the same-*n* jobs=1
-    ``backend_local_fit`` record must be **> min_speedup at the largest
-    worker count** — shipping shards to worker processes has to beat
-    scoring them in-process, or the backend is pure overhead.
-
-    The bar is **hardware- and size-aware**, mirroring
-    :func:`fleet_gate`: records carry the recording host's ``cpu_count``
-    in ``extra``, and worker processes beyond the core count cannot add
-    compute, so the bar applies to the largest worker count **that fits
-    the cores**; a single-core host gets a ``notes`` entry instead of a
-    failure. Sizes below *min_n* (CI smoke runs) are reported but not
-    gated — at a few thousand rows the per-shard pickling round trip
-    dominates the arithmetic it ships, and a "regression" there would
-    only measure IPC, not the backend.
-
-    Returns a report whose ``problems`` list is empty when the gate
-    passes; ``repro bench compare`` exits nonzero otherwise.
-    """
-    validate_bench(payload)
-    locals_: dict[int, float] = {}
-    for record in payload["records"]:
-        if record["workload"] == "backend_local_fit" and record["jobs"] == 1:
-            locals_[record["n"]] = float(record["rows_per_s"])
-    mp_records: dict[int, list[tuple[int, float]]] = {}
-    cpu_count: int | None = None
-    for record in payload["records"]:
-        if record["workload"] == "backend_multiprocess_fit":
-            mp_records.setdefault(record["n"], []).append(
-                (int(record["jobs"]), float(record["rows_per_s"]))
-            )
-            cores = record.get("extra", {}).get("cpu_count")
-            if isinstance(cores, int) and cores > 0:
-                cpu_count = cores
-    rows: list[BackendGateRow] = []
-    problems: list[str] = []
-    notes: list[str] = []
-    if not mp_records:
-        problems.append("no backend_multiprocess_fit records to gate on")
-    for n in sorted(mp_records):
-        local = locals_.get(n)
-        if local is None:
-            problems.append(f"n={n}: no jobs=1 backend_local_fit baseline record")
-            continue
-        ladder = sorted(mp_records[n])
-        for jobs, rate in ladder:
-            rows.append(BackendGateRow(n, jobs, local, rate))
-        if n < min_n:
-            notes.append(
-                f"n={n:,}: below the gating floor ({min_n:,} rows) — IPC "
-                "dominates at smoke sizes, reporting only"
-            )
-            continue
-        # Workers beyond the recording host's cores cannot add compute:
-        # gate on the largest worker count the hardware supports.
-        gated = ladder
-        if cpu_count is not None:
-            gated = [(jobs, rate) for jobs, rate in ladder if jobs <= cpu_count]
-        if not any(jobs > 1 for jobs, _ in gated):
-            notes.append(
-                f"n={n:,}: host has {cpu_count} core(s) — multiprocess "
-                "scaling is not enforceable on this machine, reporting only"
-            )
-            continue
-        top_jobs, top_rate = gated[-1]
-        top_speedup = float("inf") if local <= 0 else top_rate / local
-        if top_speedup <= min_speedup:
-            problems.append(
-                f"n={n:,}: {top_jobs} worker process(es) reach only "
-                f"{top_speedup:.2f}x the single-process fit (need > "
-                f"{min_speedup:.2f}x) — the backend is a tax, not a multiplier"
-            )
-    return BackendGateReport(rows=rows, problems=problems, notes=notes)
-
-
-def render_backend_gate(report: BackendGateReport) -> str:
-    """Human-readable backend-gate table + verdict."""
-    from ..experiments.tables import format_table
-
-    rows = [
-        [
-            f"{row.n:,}",
-            str(row.jobs),
-            f"{row.local_rows_per_s / 1e6:.2f}",
-            f"{row.multiprocess_rows_per_s / 1e6:.2f}",
-            f"{row.speedup:.2f}x",
-        ]
-        for row in report.rows
-    ]
-    table = format_table(
-        ["n", "workers", "local M/s", "multiproc M/s", "speedup"],
-        rows,
-        title="Backend scaling gate (backend_multiprocess_fit vs backend_local_fit)",
-    )
-    lines = [table]
-    lines.extend(f"  note: {note}" for note in report.notes)
-    lines.extend(f"  GATE: {problem}" for problem in report.problems)
-    lines.append(
-        "backend gate passed" if report.ok else "backend gate FAILED"
-    )
-    return "\n".join(lines)
-
-
-#: Observability-gate knobs: telemetry on the serving hot path must cost
-#: at most this fraction of the uninstrumented wall time. Sizes below the
-#: floor measure HTTP fixed costs, not the per-row instrumentation, and
-#: are reported rather than gated.
-OBS_GATE_MAX_OVERHEAD = 0.02
-OBS_GATE_MIN_N = 50_000
-
-
-@dataclass(frozen=True)
-class ObsGateRow:
-    """Instrumented-vs-raw serving wall time at one (n, worker count)."""
-
-    n: int
-    jobs: int
-    instrumented_wall_s: float
-    raw_wall_s: float
-
-    @property
-    def overhead(self) -> float:
-        """Fractional slowdown of the instrumented server (0.02 = 2%)."""
-        if self.raw_wall_s <= 0:
-            return 0.0
-        return self.instrumented_wall_s / self.raw_wall_s - 1.0
-
-
-@dataclass(frozen=True)
-class ObsGateReport:
-    """Instrumentation-overhead verdict for one ``BENCH_serve.json``."""
-
-    rows: list[ObsGateRow] = field(default_factory=list)
-    problems: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
-def obs_gate(
-    payload: dict[str, Any],
-    *,
-    max_overhead: float = OBS_GATE_MAX_OVERHEAD,
-    min_n: int = OBS_GATE_MIN_N,
-) -> ObsGateReport:
-    """Check that telemetry is near-free on the serving fast path.
-
-    Pairs each ``serve_http_npy`` record (metrics on, the default) with
-    the same-(n, k, jobs) ``serve_http_npy_raw`` record (a second
-    server with ``metrics=False``) and requires the instrumented wall
-    time to stay within *max_overhead* of the raw one at gate-worthy
-    sizes. Below *min_n* the measurement is dominated by fixed HTTP
-    costs, so undersized rows land in ``notes`` instead of
-    ``problems`` — the same size-aware posture as :func:`fleet_gate`
-    and :func:`backend_gate`. A payload with no raw records (an old
-    bench file) gets a note, not a failure.
-    """
-    validate_bench(payload)
-    raw: dict[tuple[int, int, int], float] = {}
-    for record in payload["records"]:
-        if record["workload"] == "serve_http_npy_raw":
-            key = (record["n"], record["k"], record["jobs"])
-            raw[key] = float(record["wall_s"])
-    rows: list[ObsGateRow] = []
-    problems: list[str] = []
-    notes: list[str] = []
-    if not raw:
-        notes.append(
-            "no serve_http_npy_raw records — instrumentation overhead "
-            "not measured in this payload"
-        )
-        return ObsGateReport(rows=rows, problems=problems, notes=notes)
-    paired = 0
-    for record in payload["records"]:
-        if record["workload"] != "serve_http_npy":
-            continue
-        key = (record["n"], record["k"], record["jobs"])
-        raw_wall = raw.get(key)
-        if raw_wall is None:
-            continue
-        paired += 1
-        row = ObsGateRow(
-            int(record["n"]), int(record["jobs"]),
-            float(record["wall_s"]), raw_wall,
-        )
-        rows.append(row)
-        if row.n < min_n:
-            notes.append(
-                f"n={row.n:,}: below the gating floor ({min_n:,} rows) — "
-                "fixed HTTP costs dominate, reporting only"
-            )
-            continue
-        if row.overhead > max_overhead:
-            problems.append(
-                f"n={row.n:,} jobs={row.jobs}: instrumentation costs "
-                f"{row.overhead * 100:.1f}% of the raw serving wall "
-                f"(budget {max_overhead * 100:.0f}%) — the telemetry is "
-                "no longer near-free"
-            )
-    if not paired:
-        problems.append(
-            "serve_http_npy_raw records present but none paired with a "
-            "serve_http_npy record at the same (n, k, jobs)"
-        )
-    return ObsGateReport(rows=rows, problems=problems, notes=notes)
-
-
-def render_obs_gate(report: ObsGateReport) -> str:
-    """Human-readable instrumentation-overhead table + verdict."""
-    from ..experiments.tables import format_table
-
-    rows = [
-        [
-            f"{row.n:,}",
-            str(row.jobs),
-            f"{row.instrumented_wall_s * 1000:.1f}",
-            f"{row.raw_wall_s * 1000:.1f}",
-            f"{row.overhead * 100:+.1f}%",
-        ]
-        for row in report.rows
-    ]
-    table = format_table(
-        ["n", "jobs", "instrumented ms", "raw ms", "overhead"],
-        rows,
-        title="Instrumentation overhead gate (serve_http_npy vs serve_http_npy_raw)",
-    )
-    lines = [table]
-    lines.extend(f"  note: {note}" for note in report.notes)
-    lines.extend(f"  GATE: {problem}" for problem in report.problems)
-    lines.append(
-        "observability gate passed" if report.ok else "observability gate FAILED"
-    )
-    return "\n".join(lines)
-
-
 def render_comparison(comparison: BenchComparison) -> str:
     """Human-readable report (the ``repro bench compare`` output)."""
     from ..experiments.tables import format_table
@@ -607,4 +179,313 @@ def render_comparison(comparison: BenchComparison) -> str:
         lines.append(f"{count} regression(s) below threshold {comparison.threshold:.2f}")
     else:
         lines.append(f"all {len(comparison.rows)} matched records within threshold")
+    return "\n".join(lines)
+
+
+# --------------------------------------------------------------------- #
+# Scaling and overhead gates: one payload against its own baselines       #
+# --------------------------------------------------------------------- #
+
+#: Fleet gate: the largest fleet that fits the cores must beat the single
+#: server by this factor, and throughput may not fall below the tolerance
+#: between consecutive fleet sizes (shared CI runners are noisy).
+FLEET_GATE_MIN_SPEEDUP = 1.0
+FLEET_GATE_MONOTONE_TOLERANCE = 0.9
+
+#: Backend gate: multiprocess training must beat the single-process fit,
+#: but only at sizes where compute outweighs IPC — CI smoke sizes
+#: (thousands of rows) sit below the floor and are reported, not gated.
+BACKEND_GATE_MIN_SPEEDUP = 1.0
+BACKEND_GATE_MIN_N = 100_000
+
+#: Observability gate: telemetry on the serving hot path must cost at
+#: most this fraction of the uninstrumented wall time. Sizes below the
+#: floor measure HTTP fixed costs, not the per-row instrumentation, and
+#: are reported rather than gated.
+OBS_GATE_MAX_OVERHEAD = 0.02
+OBS_GATE_MIN_N = 50_000
+
+
+@dataclass(frozen=True)
+class GateRow:
+    """One gated (n, worker count) point against its baseline.
+
+    Fleet and backend rows hold rows/s, so the ratio is the speedup;
+    observability rows hold wall seconds, instrumented over raw.
+    """
+
+    n: int
+    jobs: int
+    baseline: float
+    current: float
+
+    @property
+    def ratio(self) -> float:
+        """current / baseline (∞ when the baseline is 0)."""
+        if self.baseline <= 0:
+            return float("inf")
+        return self.current / self.baseline
+
+
+@dataclass
+class GateReport:
+    """One gate's verdict on one suite payload.
+
+    ``problems`` fail the gate; ``notes`` name what was measured but not
+    held to the bar (undersized, or more workers than the host's cores).
+    """
+
+    gate: str
+    rows: list[GateRow] = field(default_factory=list)
+    problems: list[str] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+
+#: A (jobs, rows/s) worker-count ladder, sorted by jobs.
+Ladder = list[tuple[int, float]]
+
+
+def _ladders(
+    payload: dict[str, Any], workload: str
+) -> tuple[dict[int, tuple[Ladder, Ladder]], int | None]:
+    """Per n, *workload*'s ladder and the part of it that fits the
+    recording host's cores; plus that ``cpu_count`` (from ``extra``).
+
+    Worker processes beyond the cores cannot add compute, so the gates
+    hold only the fitting part to their bars.
+    """
+    ladders: dict[int, Ladder] = {}
+    cpu_count: int | None = None
+    for record in payload["records"]:
+        if record["workload"] == workload:
+            ladders.setdefault(record["n"], []).append(
+                (int(record["jobs"]), float(record["rows_per_s"]))
+            )
+            cores = record.get("extra", {}).get("cpu_count")
+            if isinstance(cores, int) and cores > 0:
+                cpu_count = cores
+    split = {}
+    for n in sorted(ladders):
+        ladder = sorted(ladders[n])
+        fits = [(j, r) for j, r in ladder if cpu_count is None or j <= cpu_count]
+        split[n] = (ladder, fits)
+    return split, cpu_count
+
+
+def fleet_gate(payload: dict[str, Any]) -> GateReport:
+    """Check that the fleet multiplies throughput instead of taxing it.
+
+    For every batch size *n* in a fleet suite payload, the
+    ``fleet_http_npy`` speedup over the same-*n* ``serve_http_single``
+    record must
+
+    * be **> FLEET_GATE_MIN_SPEEDUP at the largest fleet size** — the
+      fleet's whole reason to exist (a 1-worker fleet is a failover
+      device and pays the proxy hop, so it is reported but not held to
+      the bar), and
+    * be **monotone in worker count** up to
+      ``FLEET_GATE_MONOTONE_TOLERANCE`` — adding a worker process may
+      never cost throughput.
+
+    Both bars are **hardware-aware**: fleet records carry the recording
+    host's ``cpu_count`` in ``extra``, so the bars apply up to the
+    largest fleet size **that fits the cores**. On a single-core host
+    neither bar is enforceable (every extra process is pure
+    context-switch tax) — the report then carries a note instead of a
+    failure, and CI's multi-core runners remain where the gate bites.
+    """
+    validate_bench(payload)
+    singles = {
+        r["n"]: float(r["rows_per_s"])
+        for r in payload["records"]
+        if r["workload"] == "serve_http_single"
+    }
+    ladders, cpu_count = _ladders(payload, "fleet_http_npy")
+    report = GateReport("fleet")
+    if not ladders:
+        report.problems.append("no fleet_http_npy records to gate on")
+    for n, (ladder, gated) in ladders.items():
+        single = singles.get(n)
+        if single is None:
+            report.problems.append(f"n={n}: no serve_http_single baseline record")
+            continue
+        report.rows.extend(GateRow(n, jobs, single, rate) for jobs, rate in ladder)
+        if len(gated) <= 1 and len(gated) < len(ladder):
+            report.notes.append(
+                f"n={n}: host has {cpu_count} core(s) — fleet scaling is "
+                "not enforceable on this machine, reporting only"
+            )
+            continue
+        if len(gated) > 1:
+            top_jobs, top_rate = gated[-1]
+            top_speedup = GateRow(n, top_jobs, single, top_rate).ratio
+            if top_speedup <= FLEET_GATE_MIN_SPEEDUP:
+                report.problems.append(
+                    f"n={n}: fleet of {top_jobs} reaches only "
+                    f"{top_speedup:.2f}x the single server (need > "
+                    f"{FLEET_GATE_MIN_SPEEDUP:.2f}x) — the fleet is a tax, "
+                    "not a multiplier"
+                )
+        for (jobs_a, rate_a), (jobs_b, rate_b) in zip(gated, gated[1:]):
+            if rate_b < FLEET_GATE_MONOTONE_TOLERANCE * rate_a:
+                report.problems.append(
+                    f"n={n}: throughput fell from {rate_a / 1e6:.2f} M/s at "
+                    f"{jobs_a} worker(s) to {rate_b / 1e6:.2f} M/s at "
+                    f"{jobs_b} — scaling is not monotone"
+                )
+    return report
+
+
+def backend_gate(payload: dict[str, Any]) -> GateReport:
+    """Check that the multiprocess backend buys wall-clock, not just IPC.
+
+    For every size *n* in a backend suite payload, the
+    ``backend_multiprocess_fit`` speedup over the same-*n* jobs=1
+    ``backend_local_fit`` record must be **> BACKEND_GATE_MIN_SPEEDUP
+    at the largest worker count that fits the cores** — shipping shards
+    to worker processes has to beat scoring them in-process, or the
+    backend is pure overhead. A single-core host gets a note instead of
+    a failure, as in :func:`fleet_gate`. Sizes below
+    ``BACKEND_GATE_MIN_N`` (CI smoke runs) are reported but not gated:
+    at a few thousand rows the per-shard pickling round trip dominates
+    the arithmetic it ships.
+    """
+    validate_bench(payload)
+    locals_ = {
+        r["n"]: float(r["rows_per_s"])
+        for r in payload["records"]
+        if r["workload"] == "backend_local_fit" and r["jobs"] == 1
+    }
+    ladders, cpu_count = _ladders(payload, "backend_multiprocess_fit")
+    report = GateReport("backend")
+    if not ladders:
+        report.problems.append("no backend_multiprocess_fit records to gate on")
+    for n, (ladder, gated) in ladders.items():
+        local = locals_.get(n)
+        if local is None:
+            report.problems.append(f"n={n}: no jobs=1 backend_local_fit baseline record")
+            continue
+        report.rows.extend(GateRow(n, jobs, local, rate) for jobs, rate in ladder)
+        if n < BACKEND_GATE_MIN_N:
+            report.notes.append(
+                f"n={n:,}: below the gating floor ({BACKEND_GATE_MIN_N:,} rows) "
+                "— IPC dominates at smoke sizes, reporting only"
+            )
+            continue
+        if not any(jobs > 1 for jobs, _ in gated):
+            report.notes.append(
+                f"n={n:,}: host has {cpu_count} core(s) — multiprocess "
+                "scaling is not enforceable on this machine, reporting only"
+            )
+            continue
+        top_jobs, top_rate = gated[-1]
+        top_speedup = GateRow(n, top_jobs, local, top_rate).ratio
+        if top_speedup <= BACKEND_GATE_MIN_SPEEDUP:
+            report.problems.append(
+                f"n={n:,}: {top_jobs} worker process(es) reach only "
+                f"{top_speedup:.2f}x the single-process fit (need > "
+                f"{BACKEND_GATE_MIN_SPEEDUP:.2f}x) — the backend is a tax, "
+                "not a multiplier"
+            )
+    return report
+
+
+def obs_gate(payload: dict[str, Any]) -> GateReport:
+    """Check that telemetry is near-free on the serving fast path.
+
+    Pairs each ``serve_http_npy`` record (metrics on, the default) with
+    the same-(n, k, jobs) ``serve_http_npy_raw`` record (a second
+    server with ``metrics=False``) and requires the instrumented wall
+    time to stay within ``OBS_GATE_MAX_OVERHEAD`` of the raw one.
+    Below ``OBS_GATE_MIN_N`` the measurement is dominated by fixed HTTP
+    costs, so undersized rows are notes, not problems. A payload with no
+    raw records (an old bench file) gets a note, not a failure.
+    """
+    validate_bench(payload)
+    raw = {
+        (r["n"], r["k"], r["jobs"]): float(r["wall_s"])
+        for r in payload["records"]
+        if r["workload"] == "serve_http_npy_raw"
+    }
+    report = GateReport("observability")
+    if not raw:
+        report.notes.append(
+            "no serve_http_npy_raw records — instrumentation overhead "
+            "not measured in this payload"
+        )
+        return report
+    for record in payload["records"]:
+        if record["workload"] != "serve_http_npy":
+            continue
+        raw_wall = raw.get((record["n"], record["k"], record["jobs"]))
+        if raw_wall is None:
+            continue
+        row = GateRow(
+            int(record["n"]), int(record["jobs"]), raw_wall, float(record["wall_s"])
+        )
+        report.rows.append(row)
+        if row.n < OBS_GATE_MIN_N:
+            report.notes.append(
+                f"n={row.n:,}: below the gating floor ({OBS_GATE_MIN_N:,} rows) "
+                "— fixed HTTP costs dominate, reporting only"
+            )
+            continue
+        # A zero raw wall measured nothing: no overhead to hold to the bar.
+        overhead = row.ratio - 1.0 if raw_wall > 0 else 0.0
+        if overhead > OBS_GATE_MAX_OVERHEAD:
+            report.problems.append(
+                f"n={row.n:,} jobs={row.jobs}: instrumentation costs "
+                f"{overhead * 100:.1f}% of the raw serving wall "
+                f"(budget {OBS_GATE_MAX_OVERHEAD * 100:.0f}%) — the telemetry "
+                "is no longer near-free"
+            )
+    if not report.rows:
+        report.problems.append(
+            "serve_http_npy_raw records present but none paired with a "
+            "serve_http_npy record at the same (n, k, jobs)"
+        )
+    return report
+
+
+#: Each gate's table: title, the baseline and current column headers,
+#: and the scale from the rows' units (rows/s, s) to the shown ones.
+_GATE_TABLES = {
+    "fleet": (
+        "Fleet scaling gate (fleet_http_npy vs serve_http_single)",
+        "single M/s", "fleet M/s", 1e-6,
+    ),
+    "backend": (
+        "Backend scaling gate (backend_multiprocess_fit vs backend_local_fit)",
+        "local M/s", "multiproc M/s", 1e-6,
+    ),
+    "observability": (
+        "Instrumentation overhead gate (serve_http_npy vs serve_http_npy_raw)",
+        "raw ms", "instrumented ms", 1e3,
+    ),
+}
+
+
+def render_gate(report: GateReport) -> str:
+    """Human-readable gate table, notes, problems and verdict line."""
+    from ..experiments.tables import format_table
+
+    title, baseline, current, scale = _GATE_TABLES[report.gate]
+    rows = [
+        [
+            f"{row.n:,}",
+            str(row.jobs),
+            f"{row.baseline * scale:.2f}",
+            f"{row.current * scale:.2f}",
+            f"{row.ratio:.2f}x",
+        ]
+        for row in report.rows
+    ]
+    lines = [format_table(["n", "workers", baseline, current, "ratio"], rows, title=title)]
+    lines.extend(f"  note: {note}" for note in report.notes)
+    lines.extend(f"  GATE: {problem}" for problem in report.problems)
+    lines.append(f"{report.gate} gate {'passed' if report.ok else 'FAILED'}")
     return "\n".join(lines)

@@ -8,11 +8,11 @@ harness standardizes it:
 
     {
       "schema": "repro.bench/v1",
-      "suite": "engine",
+      "suite": "assign",
       "records": [
-        {"workload": "fairkm_chunked_scoring", "n": 10000, "k": 5,
-         "jobs": 4, "wall_s": 0.61, "rows_per_s": 1.1e6,
-         "speedup": 2.3, "extra": {"n_iter": 7}}
+        {"workload": "assigner_throughput", "n": 100000, "k": 15,
+         "jobs": 4, "wall_s": 0.021, "rows_per_s": 4.8e6,
+         "speedup": 2.3, "extra": {"d": 14, "chunk_size": 0}}
       ]
     }
 
@@ -23,15 +23,9 @@ same ``(workload, n, k)`` — the ``jobs=1`` run emitted in the same file
 CI runs it on every PR's smoke output and uploads the JSON as an
 artifact, extending the recorded perf trajectory.
 
-Three suites ship today:
+Four suites ship today (the FairKM fits themselves, quality next to
+speed, are measured by the repository benchmark under ``perfbench/``):
 
-* **engine** — FairKM training hot path. Fits the chunked-exact engine
-  (and a large-batch mini-batch fit) across worker counts; alongside
-  end-to-end fit wall-clock it emits a ``*_scoring`` workload whose
-  wall is the summed frozen-window scoring time from
-  ``FairKMResult.diagnostics`` — exactly the section ``workers``
-  parallelizes (the first sweep of every fit runs the serial loop by
-  design, so Amdahl caps the end-to-end number).
 * **assign** — the serving hot loop: ``Assigner.assign`` rows/s across
   worker counts.
 * **serve** — the end-to-end serving ceiling: rows/s through a live
@@ -79,7 +73,7 @@ import numpy as np
 BENCH_SCHEMA = "repro.bench/v1"
 
 #: Known suite names (one output file per suite).
-SUITES = ("engine", "assign", "serve", "fleet", "backend")
+SUITES = ("assign", "serve", "fleet", "backend")
 
 #: Required record fields and their types (``extra`` is optional).
 _RECORD_FIELDS: dict[str, type] = {
@@ -249,93 +243,6 @@ def _speedup_vs_baseline(records: list[BenchRecord]) -> None:
         base = baselines.get((r.workload, r.n, r.k))
         if base and r.wall_s > 0:
             r.speedup = base / r.wall_s
-
-
-def bench_engine(
-    sizes: Sequence[int],
-    jobs: Sequence[int],
-    *,
-    k: int = 5,
-    max_iter: int = 30,
-    repeats: int = 1,
-) -> list[BenchRecord]:
-    """Training hot path: chunked FairKM + sharded mini-batch fits.
-
-    Per (n, jobs): an end-to-end chunked fit record, a ``*_scoring``
-    record isolating the parallel frozen-window scoring wall (summed
-    from the fit diagnostics), and a large-batch mini-batch fit record
-    (its shard scoring is the parallel section). Decisions are
-    bit-identical across ``jobs`` — verified by an assertion against
-    the jobs=1 labels of the same configuration.
-    """
-    from ..core import FairKM, MiniBatchFairKM
-
-    records: list[BenchRecord] = []
-    for n in sizes:
-        points, cats, nums = _engine_problem(int(n))
-        n_real = points.shape[0]
-        lam = (n_real / k) ** 2
-        baseline_labels: dict[str, np.ndarray] = {}
-        for j in jobs:
-            wall, result = _timed(
-                lambda: FairKM(
-                    k, lambda_=lam, seed=0, max_iter=max_iter,
-                    engine="chunked", workers=j,
-                ).fit(points, categorical=cats, numeric=nums),
-                repeats,
-            )
-            if "chunked" not in baseline_labels:
-                baseline_labels["chunked"] = result.labels
-            elif not np.array_equal(result.labels, baseline_labels["chunked"]):
-                raise AssertionError(f"chunked workers={j} changed the labels")
-            sweeps = result.diagnostics.get("sweeps", [])
-            # Only fully-chunked sweeps: a "chunked+dense_tail" sweep did
-            # part of its work in the serial fallback, so its scoring_s
-            # covers a job-count-dependent share of the rows and would
-            # skew the cross-jobs comparison. chunked_sweeps is recorded
-            # so a consumer can verify both sides summed the same set.
-            chunked = [s for s in sweeps if s.get("mode") == "chunked"]
-            scoring = sum(s.get("scoring_s", 0.0) for s in chunked)
-            extra = {
-                "n_iter": result.n_iter,
-                "converged": result.converged,
-                "chunked_sweeps": len(chunked),
-            }
-            records.append(
-                BenchRecord(
-                    "fairkm_chunked_fit", n_real, k, int(j),
-                    wall, n_real * result.n_iter / wall if wall > 0 else 0.0,
-                    extra=extra,
-                )
-            )
-            if scoring > 0:
-                records.append(
-                    BenchRecord(
-                        "fairkm_chunked_scoring", n_real, k, int(j),
-                        scoring, n_real * len(chunked) / scoring,
-                        extra=extra,
-                    )
-                )
-            mb_wall, mb = _timed(
-                lambda: MiniBatchFairKM(
-                    k, batch_size=4096, lambda_=lam, seed=0, max_iter=max_iter,
-                    workers=j,
-                ).fit(points, categorical=cats, numeric=nums),
-                repeats,
-            )
-            if "minibatch" not in baseline_labels:
-                baseline_labels["minibatch"] = mb.labels
-            elif not np.array_equal(mb.labels, baseline_labels["minibatch"]):
-                raise AssertionError(f"minibatch workers={j} changed the labels")
-            records.append(
-                BenchRecord(
-                    "minibatch_fairkm_fit", n_real, k, int(j),
-                    mb_wall, n_real * mb.n_iter / mb_wall if mb_wall > 0 else 0.0,
-                    extra={"n_iter": mb.n_iter, "batch_size": 4096},
-                )
-            )
-    _speedup_vs_baseline(records)
-    return records
 
 
 def bench_assign(
@@ -806,16 +713,16 @@ def run_bench(
     """Run the requested suite(s); write and validate ``BENCH_*.json``.
 
     Args:
-        suite: ``"engine"``, ``"assign"``, ``"serve"``, ``"fleet"``,
-            ``"backend"`` or ``"all"``.
+        suite: ``"assign"``, ``"serve"``, ``"fleet"``, ``"backend"``
+            or ``"all"``.
         smoke: small sizes for CI (seconds, not minutes).
         max_jobs: top of the worker-count ladder (always includes 1; the
             fleet and backend suites reuse it as the worker-*process*
             ladder).
         out_dir: output directory (default: the results dir, honoring
             ``REPRO_RESULTS_DIR``).
-        repeats: timing repeats, best-of (default: 1 engine / 3
-            assign + serve + fleet, 1 everywhere under ``smoke``).
+        repeats: timing repeats, best-of (default: 3 for assign, serve
+            and fleet, 1 for backend; 1 everywhere under ``smoke``).
 
     Returns:
         Mapping of suite name to the written JSON path.
@@ -826,7 +733,6 @@ def run_bench(
         raise ValueError(f"suite must be one of {(*SUITES, 'all')}, got {suite!r}")
     out = Path(out_dir) if out_dir is not None else RESULTS_DIR
     jobs = job_ladder(max_jobs)
-    engine_sizes = (2_000,) if smoke else (10_000, 100_000)
     assign_sizes = (50_000,) if smoke else (100_000, 1_000_000)
     # 50k sits at the JSON-payload cutoff so full runs still record the
     # serve_http_json floor alongside the large npy-only measurement.
@@ -836,11 +742,6 @@ def run_bench(
     # arithmetic it ships, so smoke runs are reported but never gated.
     backend_sizes = (2_000,) if smoke else (100_000,)
     written: dict[str, Path] = {}
-    if suite in ("engine", "all"):
-        records = bench_engine(
-            engine_sizes, jobs, repeats=repeats if repeats is not None else 1
-        )
-        written["engine"] = write_bench(out / "BENCH_engine.json", "engine", records)
     if suite in ("assign", "all"):
         records = bench_assign(
             assign_sizes,

@@ -538,7 +538,9 @@ class _ChunkedBodyReader:
     on ``rfile``; streaming clients (``http.client`` with an iterator
     body) send exactly that, so the server de-chunks here — incremen-
     tally, enforcing the cumulative body cap as bytes arrive rather
-    than after buffering them.
+    than after buffering them. The first framing error is latched:
+    every later ``read`` re-raises it, so a drain after a refused size
+    line ends instead of parsing body bytes as the next chunk.
     """
 
     def __init__(self, rfile: Any, max_bytes: int) -> None:
@@ -547,6 +549,7 @@ class _ChunkedBodyReader:
         self._remaining = 0
         self._total = 0
         self._done = False
+        self._error: Exception | None = None
 
     def _start_chunk(self) -> None:
         line = self._rfile.readline(34)
@@ -577,17 +580,23 @@ class _ChunkedBodyReader:
             raise ServingError(400, f"chunked encoding missing CRLF, got {trailer!r}")
 
     def read(self, n: int) -> bytes:
-        while not self._done and self._remaining == 0:
-            self._start_chunk()
-        if self._done:
-            return b""
-        data = self._rfile.read(min(n, self._remaining))
-        if not data:
-            raise wire.WireTruncatedError("chunked body ended mid-chunk")
-        self._remaining -= len(data)
-        if self._remaining == 0:
-            self._consume_crlf()
-        return data
+        if self._error is not None:
+            raise self._error
+        try:
+            while not self._done and self._remaining == 0:
+                self._start_chunk()
+            if self._done:
+                return b""
+            data = self._rfile.read(min(n, self._remaining))
+            if not data:
+                raise wire.WireTruncatedError("chunked body ended mid-chunk")
+            self._remaining -= len(data)
+            if self._remaining == 0:
+                self._consume_crlf()
+            return data
+        except Exception as exc:
+            self._error = exc
+            raise
 
 
 class _HTTPChunkWriter:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.perf import (
@@ -11,9 +13,9 @@ from repro.perf import (
     compare_bench,
     compare_bench_files,
     fleet_gate,
-    render_backend_gate,
+    obs_gate,
     render_comparison,
-    render_fleet_gate,
+    render_gate,
     write_bench,
 )
 
@@ -120,33 +122,27 @@ def _fleet_payload(single, ladder, *, cpu_count=8, n=1000):
 def test_fleet_gate_passes_on_real_scaling():
     report = fleet_gate(_fleet_payload(1000.0, {1: 900.0, 2: 1600.0, 4: 2800.0}))
     assert report.ok
-    assert [row.speedup for row in report.rows] == pytest.approx([0.9, 1.6, 2.8])
-    assert "fleet gate passed" in render_fleet_gate(report)
+    assert [row.ratio for row in report.rows] == pytest.approx([0.9, 1.6, 2.8])
+    assert "fleet gate passed" in render_gate(report)
 
 
 def test_fleet_gate_fails_when_fleet_is_a_tax():
     report = fleet_gate(_fleet_payload(1000.0, {1: 800.0, 2: 900.0}))
     assert not report.ok
     assert any("tax, not a multiplier" in p for p in report.problems)
-    assert "fleet gate FAILED" in render_fleet_gate(report)
+    assert "fleet gate FAILED" in render_gate(report)
 
 
 def test_fleet_gate_fails_when_scaling_is_not_monotone():
     # Top size clears the bar but the 2 -> 4 step collapses.
-    report = fleet_gate(
-        _fleet_payload(1000.0, {1: 900.0, 2: 2500.0, 4: 1100.0}),
-        monotone_tolerance=0.9,
-    )
+    report = fleet_gate(_fleet_payload(1000.0, {1: 900.0, 2: 2500.0, 4: 1100.0}))
     assert not report.ok
     assert any("not monotone" in p for p in report.problems)
 
 
 def test_fleet_gate_tolerates_runner_noise():
     # A 5% dip between sizes is within the monotone tolerance.
-    report = fleet_gate(
-        _fleet_payload(1000.0, {1: 900.0, 2: 2000.0, 4: 1900.0}),
-        monotone_tolerance=0.9,
-    )
+    report = fleet_gate(_fleet_payload(1000.0, {1: 900.0, 2: 2000.0, 4: 1900.0}))
     assert report.ok
 
 
@@ -154,7 +150,7 @@ def test_fleet_gate_exempts_single_worker_fleet():
     # A 1-worker fleet is a failover device: reported, not gated.
     report = fleet_gate(_fleet_payload(1000.0, {1: 700.0}))
     assert report.ok
-    assert report.rows[0].speedup == pytest.approx(0.7)
+    assert report.rows[0].ratio == pytest.approx(0.7)
 
 
 def test_fleet_gate_is_hardware_aware():
@@ -164,7 +160,7 @@ def test_fleet_gate_is_hardware_aware():
     )
     assert report.ok
     assert any("not enforceable" in note for note in report.notes)
-    assert "note:" in render_fleet_gate(report)
+    assert "note:" in render_gate(report)
     # Two cores, fleet of 4: gate on the largest size the cores support.
     report = fleet_gate(
         _fleet_payload(1000.0, {1: 900.0, 2: 1700.0, 4: 1500.0}, cpu_count=2)
@@ -217,15 +213,15 @@ def test_backend_gate_passes_when_workers_multiply():
         _backend_payload(1000.0, {1: 800.0, 2: 1500.0, 4: 2600.0})
     )
     assert report.ok
-    assert [row.speedup for row in report.rows] == pytest.approx([0.8, 1.5, 2.6])
-    assert "backend gate passed" in render_backend_gate(report)
+    assert [row.ratio for row in report.rows] == pytest.approx([0.8, 1.5, 2.6])
+    assert "backend gate passed" in render_gate(report)
 
 
 def test_backend_gate_fails_when_backend_is_a_tax():
     report = backend_gate(_backend_payload(1000.0, {1: 700.0, 2: 900.0}))
     assert not report.ok
     assert any("tax, not a multiplier" in p for p in report.problems)
-    assert "backend gate FAILED" in render_backend_gate(report)
+    assert "backend gate FAILED" in render_gate(report)
 
 
 def test_backend_gate_reports_smoke_sizes_without_gating():
@@ -234,7 +230,7 @@ def test_backend_gate_reports_smoke_sizes_without_gating():
     assert report.ok
     assert len(report.rows) == 2
     assert any("below the gating floor" in note for note in report.notes)
-    assert "note:" in render_backend_gate(report)
+    assert "note:" in render_gate(report)
 
 
 def test_backend_gate_is_hardware_aware():
@@ -274,3 +270,124 @@ def test_backend_gate_requires_local_baseline():
     report = backend_gate(payload)
     assert not report.ok
     assert any("no jobs=1 backend_local_fit baseline" in p for p in report.problems)
+
+
+def test_fleet_and_backend_gates_pass_on_a_zero_baseline_rate():
+    # A zero-wall baseline records 0 rows/s: every ratio is infinite,
+    # which clears the speedup bar rather than dividing by zero.
+    assert fleet_gate(_fleet_payload(0.0, {1: 900.0, 2: 1600.0})).ok
+    assert backend_gate(_backend_payload(0.0, {1: 800.0, 2: 1500.0})).ok
+
+
+# --------------------------------------------------------------------- #
+# The instrumentation-overhead gate                                       #
+# --------------------------------------------------------------------- #
+
+
+def _serve_payload(walls, *, n=100_000, jobs=1):
+    """Serve payload from {workload: wall_s} at one (n, k, jobs)."""
+    records = [
+        BenchRecord(workload, n, 5, jobs, float(wall), n / wall if wall else 0.0)
+        for workload, wall in walls.items()
+    ]
+    return bench_payload("serve", records)
+
+
+def test_obs_gate_passes_within_budget():
+    report = obs_gate(
+        _serve_payload({"serve_http_npy": 1.015, "serve_http_npy_raw": 1.0})
+    )
+    assert report.ok
+    assert len(report.rows) == 1
+    assert report.problems == [] and report.notes == []
+    assert "observability gate passed" in render_gate(report)
+
+
+def test_obs_gate_fails_above_budget():
+    report = obs_gate(
+        _serve_payload({"serve_http_npy": 1.03, "serve_http_npy_raw": 1.0})
+    )
+    assert not report.ok
+    assert any("no longer near-free" in p for p in report.problems)
+    assert "observability gate FAILED" in render_gate(report)
+
+
+def test_obs_gate_reports_small_sizes_without_gating():
+    report = obs_gate(
+        _serve_payload(
+            {"serve_http_npy": 2.0, "serve_http_npy_raw": 1.0}, n=20_000
+        )
+    )
+    assert report.ok
+    assert len(report.rows) == 1
+    assert any("below the gating floor" in note for note in report.notes)
+    assert "note:" in render_gate(report)
+
+
+def test_obs_gate_notes_payload_without_raw_records():
+    report = obs_gate(_serve_payload({"serve_http_npy": 1.0}))
+    assert report.ok
+    assert report.rows == []
+    assert any("no serve_http_npy_raw records" in n for n in report.notes)
+
+
+def test_obs_gate_requires_raw_records_to_pair():
+    payload = _serve_payload({"serve_http_npy": 1.0})
+    payload["records"].append(
+        BenchRecord("serve_http_npy_raw", 100_000, 5, 2, 1.0, 1e5).to_dict()
+    )
+    report = obs_gate(payload)
+    assert not report.ok
+    assert any("none paired" in p for p in report.problems)
+
+
+def test_obs_gate_passes_on_a_zero_raw_wall():
+    report = obs_gate(
+        _serve_payload({"serve_http_npy": 1.0, "serve_http_npy_raw": 0.0})
+    )
+    assert report.ok
+
+
+# --------------------------------------------------------------------- #
+# `repro bench compare` runs the current suite's gate                     #
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    ("passing", "failing", "verdict"),
+    [
+        pytest.param(
+            _fleet_payload(1000.0, {1: 900.0, 2: 1600.0}),
+            _fleet_payload(1000.0, {1: 800.0, 2: 900.0}),
+            "fleet gate",
+            id="fleet",
+        ),
+        pytest.param(
+            _backend_payload(1000.0, {1: 800.0, 2: 1500.0}),
+            _backend_payload(1000.0, {1: 700.0, 2: 900.0}),
+            "backend gate",
+            id="backend",
+        ),
+        pytest.param(
+            _serve_payload({"serve_http_npy": 1.01, "serve_http_npy_raw": 1.0}),
+            _serve_payload({"serve_http_npy": 1.5, "serve_http_npy_raw": 1.0}),
+            "observability gate",
+            id="serve",
+        ),
+    ],
+)
+def test_cli_bench_compare_runs_the_suite_gate(
+    tmp_path, capsys, passing, failing, verdict
+):
+    from repro.cli import main
+
+    for name, payload in (("passing", passing), ("failing", failing)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    files = {name: str(tmp_path / f"{name}.json") for name in ("passing", "failing")}
+
+    # Each file against itself: the rows/s comparison is clean, so the
+    # exit status is the gate's verdict alone.
+    assert main(["bench", "compare", files["passing"], files["passing"]]) == 0
+    assert f"{verdict} passed" in capsys.readouterr().out
+    assert main(["bench", "compare", files["failing"], files["failing"]]) == 1
+    assert f"{verdict} FAILED" in capsys.readouterr().out

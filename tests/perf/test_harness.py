@@ -16,7 +16,6 @@ from repro.perf import (
 from repro.perf.harness import (
     bench_assign,
     bench_backend,
-    bench_engine,
     bench_fleet,
     bench_serve,
     job_ladder,
@@ -84,17 +83,6 @@ def test_write_bench_round_trips(tmp_path):
     assert "repro.bench/v1" in render_bench(payload)
 
 
-def test_bench_engine_records_all_job_counts():
-    records = bench_engine((400,), (1, 2), max_iter=5)
-    payload = bench_payload("engine", records)
-    validate_bench(payload)
-    seen = {(r.workload, r.jobs) for r in records}
-    assert ("fairkm_chunked_fit", 1) in seen and ("fairkm_chunked_fit", 2) in seen
-    assert ("minibatch_fairkm_fit", 2) in seen
-    # jobs=1 rows are the speedup baseline of the same file.
-    assert all(r.speedup == 1.0 for r in records if r.jobs == 1)
-
-
 def test_bench_assign_records_and_speedups():
     records = bench_assign((4_000,), (1, 2), repeats=1)
     validate_bench(bench_payload("assign", records))
@@ -157,7 +145,6 @@ def test_bench_fleet_measures_processes_against_in_process(tmp_path):
 def test_cli_bench_smoke_writes_validated_files(tmp_path, capsys):
     """`repro bench --smoke` emits BENCH_*.json that pass the validator."""
     from repro.cli import main
-    from repro.perf.harness import run_bench
 
     assert main(["bench", "assign", "--smoke", "--workers", "2",
                  "--out", str(tmp_path)]) == 0
@@ -168,10 +155,6 @@ def test_cli_bench_smoke_writes_validated_files(tmp_path, capsys):
     assert payload["suite"] == "assign"
     jobs = {r["jobs"] for r in payload["records"]}
     assert jobs == {1, 2}
-
-    # Library-level orchestration covers the engine suite the same way.
-    written = run_bench("engine", smoke=True, max_jobs=2, out_dir=tmp_path)
-    validate_bench(json.loads(written["engine"].read_text()))
 
 
 def test_bench_backend_measures_multiprocess_against_local():

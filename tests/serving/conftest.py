@@ -43,12 +43,14 @@ class FrontDoor:
         """Send one request exactly as given; read one response.
 
         A ``Content-Length`` for *body* is added unless *headers* sets
-        one (malformed values go out verbatim). The socket timeout turns
+        one (malformed values go out verbatim) or a ``Transfer-Encoding``
+        (the body is then sent as already framed). The socket timeout turns
         a server that never answers into a ``TimeoutError``, not a hang.
         Responses must carry a ``Content-Length`` (every error does).
         """
         fields = {"Host": "front-door", **(headers or {})}
-        fields.setdefault("Content-Length", str(len(body)))
+        if "Transfer-Encoding" not in fields:
+            fields.setdefault("Content-Length", str(len(body)))
         head = f"{method} {path} HTTP/1.1\r\n" + "".join(
             f"{name}: {value}\r\n" for name, value in fields.items()
         )

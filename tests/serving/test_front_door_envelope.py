@@ -95,3 +95,23 @@ def test_malformed_content_length_is_a_400_that_closes(front_door, length, conte
     np.testing.assert_array_equal(
         wire.decode_npy(follow_up.body), front_door.model.predict(points)
     )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # After the refused size line, the next line reads as a valid
+        # 2,748-byte chunk: a reader that parses on would wait for it.
+        pytest.param(b"zz\r\nabc\r\n0\r\n\r\n", id="hex-looking-next-line"),
+        pytest.param(b"qq\r\nabc\r\n", id="unterminated"),
+    ],
+)
+def test_malformed_chunk_size_is_a_400_that_closes(front_door, body):
+    response = front_door.exchange(
+        "POST",
+        "/assign",
+        body,
+        {"Content-Type": STREAM_CONTENT_TYPE, "Transfer-Encoding": "chunked"},
+    )
+    assert "chunked encoding size line" in _assert_json_error(response, 400)
+    assert response.closed
