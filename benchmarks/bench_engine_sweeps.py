@@ -1,13 +1,14 @@
 """Engine sweep strategies — objective parity and wall-clock.
 
-Compares the three :mod:`repro.core.engine` sweep strategies on an
+Compares the :mod:`repro.core.engine` sweep strategies on an
 Adult-shaped synthetic workload (n ≈ 10k, k = 5, five categorical
 sensitive attributes plus one numeric, the paper's §5.1 configuration):
 
 * ``sequential`` — the paper-literal point-at-a-time local search;
 * ``chunked``    — vectorized chunk scoring with surgical per-move
   repair; *exact* (identical labels and objective trajectory);
-* ``minibatch``  — the §6.1 approximation (frozen-batch decisions).
+* ``minibatch``  — the §6.1 approximation (frozen-batch decisions),
+  built as :class:`~repro.core.minibatch.MiniBatchFairKM`.
 
 Asserted invariants: chunked reproduces the sequential labels and
 objective bit-for-bit and is at least 5× faster at this size; minibatch
@@ -30,7 +31,7 @@ import time
 
 import numpy as np
 
-from repro.core import CategoricalSpec, FairKM, NumericSpec
+from repro.core import CategoricalSpec, FairKM, MiniBatchFairKM, NumericSpec
 from repro.experiments.paper import RESULTS_DIR, write_result
 from repro.perf.harness import BenchRecord, bench_payload, render_bench, write_bench
 
@@ -64,9 +65,11 @@ def test_engine_sweeps(benchmark):
     def compare():
         for engine in ENGINES:
             start = time.perf_counter()
-            result = FairKM(K, lambda_=lam, seed=0, engine=engine).fit(
-                points, categorical=cats, numeric=nums
-            )
+            if engine == "minibatch":
+                model = MiniBatchFairKM(K, lambda_=lam, seed=0)
+            else:
+                model = FairKM(K, lambda_=lam, seed=0, engine=engine)
+            result = model.fit(points, categorical=cats, numeric=nums)
             runs[engine] = (time.perf_counter() - start, result)
         return runs
 

@@ -1,6 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Scale knobs (also honoured by the CLI):
+Scale knobs, read here only (``repro paper`` takes ``--seeds``,
+``--adult-n`` and ``--full`` instead):
 
 * ``REPRO_BENCH_SEEDS``   — seeds per configuration (default 3).
 * ``REPRO_BENCH_ADULT_N`` — Adult rows before parity undersampling
@@ -14,14 +15,21 @@ writes it under ``results/``.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.experiments.paper import bench_scale, build_adult, build_kinematics
+from repro.experiments.paper import build_adult, build_kinematics
 
 
 @pytest.fixture(scope="session")
 def scale() -> tuple[int, int]:
-    return bench_scale()
+    """(seeds, adult_n) from the environment knobs above."""
+    if os.environ.get("REPRO_BENCH_FULL") == "1":
+        return 100, 32561
+    seeds = int(os.environ.get("REPRO_BENCH_SEEDS", "3"))
+    adult_n = int(os.environ.get("REPRO_BENCH_ADULT_N", "6000"))
+    return seeds, adult_n
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ def main() -> None:
 
         # --- train once, publish, fleet up --------------------------- #
         model_k3 = fit(
-            RunConfig(method="fairkm", k=3, engine="chunked", seed=0),
+            RunConfig(method="fairkm", k=3, seed=0),
             features,
             sensitive={"gender": gender},
         )
@@ -66,7 +66,7 @@ def main() -> None:
 
                 # --- canary rollout of a staged version -------------- #
                 model_k5 = fit(
-                    RunConfig(method="fairkm", k=5, engine="chunked", seed=0),
+                    RunConfig(method="fairkm", k=5, seed=0),
                     features,
                     sensitive={"gender": gender},
                 )
@@ -86,7 +86,7 @@ def main() -> None:
 
                 # --- a bad rollout is caught by the canary ----------- #
                 drifted = fit(
-                    RunConfig(method="fairkm", k=5, engine="chunked", seed=99),
+                    RunConfig(method="fairkm", k=5, seed=99),
                     features,
                     sensitive={"gender": gender},
                 )

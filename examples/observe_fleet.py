@@ -46,7 +46,7 @@ def main() -> None:
         try:
             registry = ModelRegistry(Path(tmp) / "registry")
             model = fit(
-                RunConfig(method="fairkm", k=3, engine="chunked", seed=0),
+                RunConfig(method="fairkm", k=3, seed=0),
                 features,
                 sensitive={"gender": gender},
             )

@@ -37,7 +37,7 @@ def main() -> None:
 
         # --- train once, publish ------------------------------------- #
         model_k3 = fit(
-            RunConfig(method="fairkm", k=3, engine="chunked", seed=0),
+            RunConfig(method="fairkm", k=3, seed=0),
             features,
             sensitive={"gender": gender},
         )
@@ -58,7 +58,7 @@ def main() -> None:
 
                 # --- roll a new model forward: no restart ------------ #
                 model_k5 = fit(
-                    RunConfig(method="fairkm", k=5, engine="chunked", seed=0),
+                    RunConfig(method="fairkm", k=5, seed=0),
                     features,
                     sensitive={"gender": gender},
                 )

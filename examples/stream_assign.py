@@ -48,7 +48,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         registry = ModelRegistry(Path(tmp) / "registry")
         model = fit(
-            RunConfig(method="fairkm", k=4, engine="chunked", seed=0),
+            RunConfig(method="fairkm", k=4, seed=0),
             features,
             sensitive={"gender": gender},
         )

@@ -18,8 +18,8 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
-#: Valid FairKM sweep strategies (mirrors ``repro.core.engine``).
-ENGINES = ("sequential", "chunked", "minibatch")
+#: Valid FairKM exact sweep strategies (mirrors ``repro.core.engine``).
+ENGINES = ("sequential", "chunked")
 
 #: Valid training execution backends (mirrors ``repro.backend``).
 BACKENDS = ("local", "multiprocess")
@@ -38,9 +38,12 @@ class RunConfig:
         lambda_: fairness weight λ; ``"auto"`` applies the method's own
             heuristic (FairKM: ``(n/k)²``, §5.4).
         max_iter: iteration cap for the iterative optimizers.
-        engine: FairKM sweep strategy (one of :data:`ENGINES`).
+        engine: FairKM exact sweep strategy (one of :data:`ENGINES`):
+            ``"chunked"`` (default) makes the same decisions as the
+            paper-literal ``"sequential"`` loop, faster. The §6.1
+            mini-batch approximation is ``method="minibatch_fairkm"``.
         chunk_size: chunk size of the chunked engine; doubles as the
-            mini-batch size. ``None`` keeps the engine default.
+            ``minibatch_fairkm`` batch size. ``None`` keeps the default.
         backend: training execution backend (one of :data:`BACKENDS`):
             ``"local"`` scores in a thread pool (default),
             ``"multiprocess"`` in worker processes over one
@@ -63,7 +66,7 @@ class RunConfig:
     k: int = 5
     lambda_: float | str = "auto"
     max_iter: int = 30
-    engine: str = "sequential"
+    engine: str = "chunked"
     chunk_size: int | None = None
     backend: str = "local"
     workers: int | str = 1
@@ -89,6 +92,11 @@ class RunConfig:
             raise ValueError(f"lambda_ must be non-negative, got {self.lambda_}")
         if self.max_iter <= 0:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        if self.engine == "minibatch":
+            raise ValueError(
+                'engine="minibatch" is gone: the §6.1 mini-batch approximation is '
+                'method="minibatch_fairkm" (chunk_size sets its batch size)'
+            )
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.chunk_size is not None and self.chunk_size <= 0:
@@ -122,7 +130,11 @@ class RunConfig:
         ``"targets": null``, which is dropped; fleet URLs in it raise
         the removal error. Configs written while the worker count had a
         second name carry an ``n_jobs`` key, which sets ``workers``
-        when that is absent or ``null``.
+        when that is absent or ``null``. Configs written while the
+        mini-batch approximation was also an engine carry
+        ``"engine": "minibatch"``: with ``method="fairkm"`` that was
+        ``method="minibatch_fairkm"``; other methods ignored the key, so
+        it is dropped.
         """
         data = dict(data)
         if data.pop("targets", None):
@@ -132,6 +144,10 @@ class RunConfig:
         legacy_workers = data.pop("n_jobs", None)
         if data.get("workers") is None and legacy_workers is not None:
             data["workers"] = legacy_workers
+        if data.get("engine") == "minibatch":
+            del data["engine"]
+            if data.get("method", "fairkm") == "fairkm":
+                data["method"] = "minibatch_fairkm"
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -19,8 +19,8 @@ Subcommands::
 split: ``fit`` writes a portable :class:`~repro.api.ClusterModel`
 artifact, ``predict`` serves batched S-blind assignment from it. All
 knobs travel through :class:`~repro.api.RunConfig` (``--config run.json``
-loads one; explicit flags override it) — the process environment is
-never mutated; ``REPRO_*`` variables are read as defaults only.
+loads one; explicit flags override it) — no environment variable
+changes what is fitted or run, and the environment is never mutated.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .api import BACKENDS, ENGINES, Assigner, ClusterModel, METHOD_REGISTRY, RunConfig
 from .api import fit as api_fit
-from .experiments.paper import EXPERIMENTS, BenchSettings, bench_scale
+from .experiments.paper import EXPERIMENTS, BenchSettings
 
 #: Prefix marking sensitive-attribute arrays inside an ``.npz`` input.
 SENSITIVE_PREFIX = "sensitive_"
@@ -94,8 +94,7 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser, *, with_data: bool) 
         "--adult-n",
         type=positive_int,
         default=None,
-        help="Adult rows before parity undersampling "
-        "(default: env REPRO_BENCH_ADULT_N or 6000)",
+        help="Adult rows before parity undersampling (default 6000)",
     )
     if with_data:
         parser.add_argument(
@@ -136,13 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--engine", choices=list(ENGINES), default=None,
-        help="FairKM sweep strategy: 'sequential' (paper-literal), "
-        "'chunked' (vectorized, identical results, fastest at scale) or "
-        "'minibatch' (§6.1 approximation)",
+        help="FairKM exact sweep strategy: 'chunked' (default; vectorized) "
+        "or 'sequential' (paper-literal; identical results, slower)",
     )
     p_fit.add_argument(
         "--chunk-size", type=positive_int, default=None,
-        help="chunk size of the chunked engine / batch size of minibatch",
+        help="chunk size of the chunked engine / batch size of minibatch_fairkm",
     )
     p_fit.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
@@ -228,13 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_paper.add_argument(
         "--seeds", type=positive_int, default=None,
-        help="random restarts per configuration (default: env REPRO_BENCH_SEEDS or 3)",
+        help="random restarts per configuration (default 3)",
     )
     p_paper.add_argument("--adult-n", type=positive_int, default=None,
-                         help="Adult rows before parity undersampling")
+                         help="Adult rows before parity undersampling (default 6000)")
     p_paper.add_argument("--full", action="store_true",
                          help="paper-scale settings (100 seeds, 32561 Adult rows)")
-    p_paper.add_argument("--engine", choices=list(ENGINES), default=None)
+    p_paper.add_argument("--engine", choices=list(ENGINES), default=None,
+                         help="FairKM exact sweep strategy (default chunked)")
     p_paper.add_argument("--chunk-size", type=positive_int, default=None)
 
     # ----------------------------------------------------------- bench #
@@ -541,7 +540,7 @@ def _build_dataset(name: str, adult_n: int | None, seed: int) -> Any:
     from .experiments.paper import build_adult, build_kinematics
 
     if name == "adult":
-        return build_adult(adult_n or bench_scale()[1])
+        return build_adult(adult_n)
     if name == "kinematics":
         return build_kinematics()
     from .data.synthetic import make_fair_problem
@@ -733,13 +732,12 @@ def _cmd_paper(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for name, (_, description) in EXPERIMENTS.items():
             print(f"{name:10s} {description}")
         return 0
-    settings = BenchSettings.resolve(
-        seeds=args.seeds,
-        adult_n=args.adult_n,
-        full=args.full,
-        engine=args.engine,
-        chunk_size=args.chunk_size,
-    )
+    # --full is paper scale for whatever the other flags leave unset.
+    knobs = {"seeds": 100, "adult_n": 32561} if args.full else {}
+    for name in ("seeds", "adult_n", "engine", "chunk_size"):
+        if getattr(args, name) is not None:
+            knobs[name] = getattr(args, name)
+    settings = BenchSettings(**knobs)
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         fn, description = EXPERIMENTS[name]

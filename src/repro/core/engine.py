@@ -433,12 +433,14 @@ class MiniBatchSweep(SweepStrategy):
         return moves
 
 
-#: Engine name -> strategy class, the registry behind ``engine="..."``
-#: constructor arguments and the CLI's ``--engine`` flag.
+#: Exact engine name -> strategy class, the registry behind
+#: ``engine="..."`` constructor arguments and the CLI's ``--engine``
+#: flag. The §6.1 approximation is not an engine name: it is
+#: :class:`~repro.core.minibatch.MiniBatchFairKM`, which passes its own
+#: :class:`MiniBatchSweep` instance.
 SWEEP_STRATEGIES: dict[str, type[SweepStrategy]] = {
     SequentialSweep.name: SequentialSweep,
     ChunkedSweep.name: ChunkedSweep,
-    MiniBatchSweep.name: MiniBatchSweep,
 }
 
 
@@ -454,16 +456,14 @@ def make_sweep(
     Args:
         engine: a strategy instance (returned as-is) or a name from
             :data:`SWEEP_STRATEGIES`.
-        chunk_size: chunk size for ``"chunked"``; doubles as the batch
-            size for ``"minibatch"``. ``None`` keeps each strategy's
+        chunk_size: chunk size for ``"chunked"``; ``None`` keeps its
             default. Rejected alongside a strategy *instance* — the
             instance already carries its own sizing.
-        workers: scoring worker count for the ``"chunked"`` and
-            ``"minibatch"`` strategies (``None``/1 serial, -1 or
-            ``"auto"`` one per usable CPU). Ignored by
+        workers: scoring worker count for ``"chunked"`` (``None``/1
+            serial, -1 or ``"auto"`` one per usable CPU). Ignored by
             ``"sequential"``, whose decision loop is inherently serial;
             like ``chunk_size``, rejected alongside a strategy instance.
-        backend: execution backend for the parallel strategies — a
+        backend: execution backend for ``"chunked"`` — a
             :class:`repro.backend.Backend` instance or a
             :data:`repro.backend.BACKEND_NAMES` name (``None`` keeps
             the thread-pool default). Ignored by ``"sequential"``;
@@ -483,10 +483,6 @@ def make_sweep(
         if chunk_size is None:
             return ChunkedSweep(workers=workers, backend=backend)
         return ChunkedSweep(chunk_size, workers=workers, backend=backend)
-    if engine == MiniBatchSweep.name:
-        if chunk_size is None:
-            return MiniBatchSweep(workers=workers, backend=backend)
-        return MiniBatchSweep(chunk_size, workers=workers, backend=backend)
     raise ValueError(
         f"unknown engine {engine!r}; expected one of {sorted(SWEEP_STRATEGIES)} "
         "or a SweepStrategy instance"

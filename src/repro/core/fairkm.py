@@ -10,14 +10,13 @@ The optimizer follows the paper exactly:
 3. return the assignment (Step 8).
 
 The fit lifecycle lives in :class:`~repro.core.engine.OptimizerEngine`;
-this class binds it to a sweep strategy. ``engine="sequential"``
-(default) is the paper's literal point-at-a-time loop;
-``engine="chunked"`` produces the identical decision sequence but scores
-whole chunks at once via the vectorized
-:meth:`~repro.core.state.ClusterState.batch_move_deltas`, which is the
-fast path for large n; ``engine="minibatch"`` is the §6.1 approximation
-(also available with its own knobs as
-:class:`~repro.core.minibatch.MiniBatchFairKM`).
+this class binds it to an exact sweep strategy. ``engine="chunked"``
+(default) scores whole chunks at once via the vectorized
+:meth:`~repro.core.state.ClusterState.batch_move_deltas` and makes the
+same decisions as ``engine="sequential"``, the paper's literal
+point-at-a-time loop (kept as the reference the bit-identity tests
+compare against). The §6.1 approximation is
+:class:`~repro.core.minibatch.MiniBatchFairKM`.
 
 Move deltas come from :class:`~repro.core.state.ClusterState`, which keeps
 sufficient statistics so each candidate evaluation is O(|N| + |S|) instead
@@ -59,15 +58,14 @@ class FairKM(EstimatorMixin):
         allow_empty: permit moves that empty a cluster (paper-faithful).
         shuffle: randomize visiting order each iteration.
         resync_every: rebuild caches every N iterations (0 = never).
-        engine: sweep strategy — ``"sequential"`` (paper-literal,
-            default), ``"chunked"`` (vectorized, identical decisions) or
-            ``"minibatch"`` (§6.1 approximation) — or a
-            :class:`~repro.core.engine.SweepStrategy` instance.
-        chunk_size: chunk size of the ``"chunked"`` engine (doubles as
-            the batch size of ``"minibatch"``); ``None`` keeps the
-            strategy default.
-        backend: execution backend for the parallel scoring paths of
-            the ``"chunked"`` and ``"minibatch"`` engines —
+        engine: exact sweep strategy — ``"chunked"`` (vectorized,
+            default) or ``"sequential"`` (paper-literal, identical
+            decisions) — or a :class:`~repro.core.engine.SweepStrategy`
+            instance.
+        chunk_size: chunk size of the ``"chunked"`` engine; ``None``
+            keeps the strategy default.
+        backend: execution backend for the parallel scoring path of
+            the ``"chunked"`` engine —
             ``"local"`` (thread pool, default), ``"multiprocess"``
             (worker processes over a shared-memory data placement;
             bit-identical results), or a :class:`repro.backend.Backend`
@@ -89,7 +87,7 @@ class FairKM(EstimatorMixin):
         allow_empty: bool = True,
         shuffle: bool = True,
         resync_every: int = 1,
-        engine: str | SweepStrategy = "sequential",
+        engine: str | SweepStrategy = "chunked",
         chunk_size: int | None = None,
         backend: str | None = None,
         workers: int | str | None = None,

@@ -29,8 +29,9 @@ from .fairkm import FairKM
 class MiniBatchFairKM(FairKM):
     """FairKM with batched assignment updates (§6.1).
 
-    Accepts the same hyper-parameters as :class:`FairKM` plus
-    ``batch_size``. See the module docstring for semantics.
+    Accepts the hyper-parameters of :class:`FairKM` except ``engine``
+    and ``chunk_size``, plus ``batch_size``. See the module docstring
+    for semantics.
 
     Note on ``resync_every``: the mini-batch scheme rebuilds the cluster
     statistics after every batch that moved objects — that is intrinsic
@@ -56,9 +57,8 @@ class MiniBatchFairKM(FairKM):
         workers: int | str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        self.batch_size = int(batch_size)
+        sweep = MiniBatchSweep(batch_size, workers=workers, backend=backend)
+        self.batch_size = sweep.batch_size
         super().__init__(
             k,
             lambda_=lambda_,
@@ -68,9 +68,6 @@ class MiniBatchFairKM(FairKM):
             allow_empty=allow_empty,
             shuffle=shuffle,
             resync_every=resync_every,
-            engine=MiniBatchSweep.name,
-            chunk_size=self.batch_size,
-            backend=backend,
-            workers=workers,
+            engine=sweep,
             seed=seed,
         )

@@ -11,7 +11,6 @@ from .paper import (
     EXPERIMENTS,
     LAMBDA_GRID,
     BenchSettings,
-    bench_scale,
     build_adult,
     build_kinematics,
     figures_1_2,
@@ -53,7 +52,6 @@ __all__ = [
     "SuiteResult",
     "register_method",
     "bar_chart",
-    "bench_scale",
     "build_adult",
     "build_kinematics",
     "csv_lines",

@@ -3,10 +3,8 @@
 Each entry point builds its workload, runs the §5.5 protocol, renders the
 corresponding table or figure, writes it under ``results/`` and returns
 the rendered text. Every entry point takes a :class:`BenchSettings`
-(scale + engine knobs) threaded explicitly from the CLI; the
-``REPRO_BENCH_SEEDS`` / ``REPRO_BENCH_ADULT_N`` / ``REPRO_BENCH_FULL`` /
-``REPRO_ENGINE`` / ``REPRO_CHUNK_SIZE`` environment variables are read
-as *defaults only* — nothing in this package mutates the environment.
+(scale + engine knobs) threaded explicitly from the CLI's ``repro
+paper`` flags; no environment variable changes what is run.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..api.config import RunConfig
 from ..data.adult import generate_adult
 from ..data.dataset import Dataset
 from ..data.kinematics import generate_kinematics
@@ -27,27 +26,6 @@ from .tables import render_fairness_table, render_quality_table, render_single_a
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
 
 
-def bench_scale() -> tuple[int, int]:
-    """Resolve the default (seeds, adult_n) from the environment knobs."""
-    if os.environ.get("REPRO_BENCH_FULL") == "1":
-        return 100, 32561
-    seeds = int(os.environ.get("REPRO_BENCH_SEEDS", "3"))
-    adult_n = int(os.environ.get("REPRO_BENCH_ADULT_N", "6000"))
-    return seeds, adult_n
-
-
-def bench_engine() -> tuple[str, int | None]:
-    """Resolve the default FairKM (engine, chunk_size) from the environment.
-
-    ``REPRO_ENGINE`` selects the sweep strategy (default sequential);
-    ``REPRO_CHUNK_SIZE`` sets the chunked engine's chunk size (empty →
-    engine default).
-    """
-    engine = os.environ.get("REPRO_ENGINE", "sequential")
-    chunk = os.environ.get("REPRO_CHUNK_SIZE", "")
-    return engine, int(chunk) if chunk else None
-
-
 @dataclass(frozen=True)
 class BenchSettings:
     """Scale and engine knobs shared by every paper entry point.
@@ -55,39 +33,15 @@ class BenchSettings:
     Attributes:
         seeds: random restarts per configuration (paper: 100).
         adult_n: Adult rows before parity undersampling (paper: 32 561).
-        engine: FairKM sweep strategy for every FairKM build.
-        chunk_size: chunk/batch size for the chunked and mini-batch
-            engines (``None`` keeps engine defaults).
+        engine: FairKM exact sweep strategy for every FairKM build.
+        chunk_size: chunk size of the chunked engine, doubling as the
+            ``minibatch_fairkm`` batch size (``None`` keeps defaults).
     """
 
     seeds: int = 3
     adult_n: int = 6000
-    engine: str = "sequential"
+    engine: str = RunConfig.engine
     chunk_size: int | None = None
-
-    @classmethod
-    def resolve(
-        cls,
-        *,
-        seeds: int | None = None,
-        adult_n: int | None = None,
-        full: bool = False,
-        engine: str | None = None,
-        chunk_size: int | None = None,
-    ) -> "BenchSettings":
-        """Fill unset knobs from the environment defaults.
-
-        Explicit arguments always win; ``full=True`` selects paper scale
-        for whatever the caller did not pin explicitly.
-        """
-        env_seeds, env_adult_n = (100, 32561) if full else bench_scale()
-        env_engine, env_chunk = bench_engine()
-        return cls(
-            seeds=seeds if seeds is not None else env_seeds,
-            adult_n=adult_n if adult_n is not None else env_adult_n,
-            engine=engine if engine is not None else env_engine,
-            chunk_size=chunk_size if chunk_size is not None else env_chunk,
-        )
 
 
 def write_result(name: str, text: str) -> Path:
@@ -99,10 +53,11 @@ def write_result(name: str, text: str) -> Path:
 
 
 def build_adult(n: int | None = None, seed: int = 0) -> Dataset:
-    """Adult workload: generate, then income-parity undersample (§5.1)."""
-    if n is None:
-        _, n = bench_scale()
-    raw = generate_adult(n, seed=seed)
+    """Adult workload: generate, then income-parity undersample (§5.1).
+
+    *n* is the row count before undersampling (default 6000).
+    """
+    raw = generate_adult(n or BenchSettings.adult_n, seed=seed)
     return undersample_to_parity(raw, "income", seed)
 
 
@@ -181,9 +136,9 @@ def _kinematics_suite(
 # --------------------------------------------------------------------- #
 
 
-def table5(settings: BenchSettings | None = None) -> str:
+def table5(settings: BenchSettings = BenchSettings()) -> str:
     """Table 5: Adult clustering quality at k=5 and k=15."""
-    suites = _adult_suites((5, 15), settings or BenchSettings.resolve())
+    suites = _adult_suites((5, 15), settings)
     text = render_quality_table(
         suites, title="Table 5: clustering quality on Adult (mean over seeds)"
     )
@@ -191,9 +146,9 @@ def table5(settings: BenchSettings | None = None) -> str:
     return text
 
 
-def table6(settings: BenchSettings | None = None) -> str:
+def table6(settings: BenchSettings = BenchSettings()) -> str:
     """Table 6: Adult fairness per sensitive attribute at k=5 and k=15."""
-    suites = _adult_suites((5, 15), settings or BenchSettings.resolve())
+    suites = _adult_suites((5, 15), settings)
     text = render_fairness_table(
         suites, title="Table 6: fairness evaluation on Adult (mean over seeds)"
     )
@@ -201,9 +156,9 @@ def table6(settings: BenchSettings | None = None) -> str:
     return text
 
 
-def table7(settings: BenchSettings | None = None) -> str:
+def table7(settings: BenchSettings = BenchSettings()) -> str:
     """Table 7: Kinematics clustering quality at k=5."""
-    suite = _kinematics_suite(settings or BenchSettings.resolve())
+    suite = _kinematics_suite(settings)
     text = render_quality_table(
         {5: suite}, title="Table 7: clustering quality on Kinematics (mean over seeds)"
     )
@@ -211,9 +166,9 @@ def table7(settings: BenchSettings | None = None) -> str:
     return text
 
 
-def table8(settings: BenchSettings | None = None) -> str:
+def table8(settings: BenchSettings = BenchSettings()) -> str:
     """Table 8: Kinematics fairness per type attribute at k=5."""
-    suite = _kinematics_suite(settings or BenchSettings.resolve())
+    suite = _kinematics_suite(settings)
     text = render_fairness_table(
         {5: suite}, title="Table 8: fairness evaluation on Kinematics (mean over seeds)"
     )
@@ -226,11 +181,9 @@ def table8(settings: BenchSettings | None = None) -> str:
 # --------------------------------------------------------------------- #
 
 
-def figures_1_2(settings: BenchSettings | None = None) -> str:
+def figures_1_2(settings: BenchSettings = BenchSettings()) -> str:
     """Figures 1 & 2: Adult AW and MW — ZGYA(S) vs FairKM(All) vs FairKM(S)."""
-    suites = _adult_suites(
-        (5,), settings or BenchSettings.resolve(), per_attribute_fairkm=True
-    )
+    suites = _adult_suites((5,), settings, per_attribute_fairkm=True)
     outputs = []
     for fig, metric in (("Figure 1", "AW"), ("Figure 2", "MW")):
         table, series = render_single_attribute_figure(
@@ -243,11 +196,9 @@ def figures_1_2(settings: BenchSettings | None = None) -> str:
     return text
 
 
-def figures_3_4(settings: BenchSettings | None = None) -> str:
+def figures_3_4(settings: BenchSettings = BenchSettings()) -> str:
     """Figures 3 & 4: Kinematics AW and MW comparisons."""
-    suite = _kinematics_suite(
-        settings or BenchSettings.resolve(), per_attribute_fairkm=True
-    )
+    suite = _kinematics_suite(settings, per_attribute_fairkm=True)
     outputs = []
     for fig, metric in (("Figure 3", "AW"), ("Figure 4", "MW")):
         table, series = render_single_attribute_figure(
@@ -265,10 +216,9 @@ LAMBDA_GRID = [1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0, 8000.0, 10000.0]
 
 
 def figures_5_6_7(
-    settings: BenchSettings | None = None, lambdas: list[float] | None = None
+    settings: BenchSettings = BenchSettings(), lambdas: list[float] | None = None
 ) -> str:
     """Figures 5, 6 & 7: Kinematics quality and fairness vs λ."""
-    settings = settings or BenchSettings.resolve()
     dataset = build_kinematics()
     sweep = lambda_sweep(
         dataset,

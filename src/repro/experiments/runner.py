@@ -58,8 +58,9 @@ class SuiteConfig:
         silhouette_sample: subsample bound for silhouette.
         per_attribute_fairkm: also run FairKM(S) per attribute (needed by
             Figures 1–4; costs |S| extra FairKM fits per seed).
-        engine: FairKM sweep strategy (``"sequential"`` | ``"chunked"``
-            | ``"minibatch"``), threaded into every FairKM build.
+        engine: FairKM exact sweep strategy (``"chunked"`` |
+            ``"sequential"``; default :attr:`RunConfig.engine`),
+            threaded into every FairKM build.
         chunk_size: chunk size for the chunked engine (``None`` keeps
             the engine default); doubles as the ``minibatch_fairkm``
             batch size.
@@ -75,7 +76,7 @@ class SuiteConfig:
     scale_features: bool = True
     silhouette_sample: int | None = 4000
     per_attribute_fairkm: bool = False
-    engine: str = "sequential"
+    engine: str = RunConfig.engine
     chunk_size: int | None = None
     extra_methods: tuple[str, ...] = ()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..api.config import RunConfig
 from ..cluster.kmeans import KMeans
 from ..core.fairkm import FairKM
 from ..data.dataset import Dataset
@@ -53,7 +54,7 @@ def lambda_sweep(
     max_iter: int = 30,
     scale_features: bool = False,
     silhouette_sample: int | None = 4000,
-    engine: str = "sequential",
+    engine: str = RunConfig.engine,
     chunk_size: int | None = None,
 ) -> LambdaSweepResult:
     """Run FairKM across a λ grid, evaluating against per-seed K-Means(N).

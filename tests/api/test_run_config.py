@@ -14,7 +14,7 @@ def test_defaults():
     assert config.method == "fairkm"
     assert config.k == 5
     assert config.lambda_ == "auto"
-    assert config.engine == "sequential"
+    assert config.engine == "chunked"
     assert config.chunk_size is None
     assert config.sensitive is None
 
@@ -103,7 +103,7 @@ def test_json_round_trip():
         k=7,
         lambda_=250.5,
         max_iter=11,
-        engine="minibatch",
+        engine="chunked",
         chunk_size=128,
         seed=42,
         scale_features=False,
@@ -133,9 +133,9 @@ def test_sensitive_coerced_to_tuple():
 
 def test_with_overrides():
     base = RunConfig()
-    updated = base.with_overrides(k=9, engine="chunked", method=None)
+    updated = base.with_overrides(k=9, engine="sequential", method=None)
     assert updated.k == 9
-    assert updated.engine == "chunked"
+    assert updated.engine == "sequential"
     assert updated.method == base.method  # None means "keep"
     assert base.k == 5  # frozen original untouched
     assert base.with_overrides() == base
@@ -161,7 +161,7 @@ def test_remote_backend_is_rejected_with_the_removal_error():
 
 def test_pre_removal_config_json_still_loads():
     config = RunConfig.from_json(_PRE_REMOVAL_JSON)
-    assert config == RunConfig(method="kmeans", k=4, seed=3)
+    assert config == RunConfig(method="kmeans", k=4, seed=3, engine="sequential")
     assert "targets" not in config.to_dict()
 
 
@@ -193,7 +193,9 @@ def test_cli_rejects_backend_remote_and_loads_pre_removal_config(capsys, tmp_pat
     assert cli.main(["fit", "--config", str(config_path), "--data", str(data_path),
                      "--out", str(tmp_path / "m")]) == 0
     capsys.readouterr()
-    assert ClusterModel.load(tmp_path / "m").config == RunConfig(method="kmeans", k=4, seed=3)
+    assert ClusterModel.load(tmp_path / "m").config == RunConfig(
+        method="kmeans", k=4, seed=3, engine="sequential"
+    )
 
     config_path.write_text(json.dumps({"backend": "remote", "targets": ["http://w:8000"]}))
     with pytest.raises(SystemExit) as err:
@@ -201,3 +203,83 @@ def test_cli_rejects_backend_remote_and_loads_pre_removal_config(capsys, tmp_pat
                   "--out", str(tmp_path / "never")])
     assert err.value.code == 2
     assert "remote training backend was removed" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# One exact engine by default; mini-batch is a method, not an engine      #
+# --------------------------------------------------------------------- #
+
+
+def test_default_engine_is_chunked_in_every_layer():
+    """Core keeps its own literal (it cannot import repro.api); every
+    other layer reads RunConfig's, so none can drift from the other."""
+    import inspect
+
+    from repro.core import FairKM
+    from repro.experiments import BenchSettings, SuiteConfig, lambda_sweep
+
+    assert FairKM(3).sweep.name == RunConfig().engine == "chunked"
+    assert SuiteConfig().engine == BenchSettings().engine == RunConfig().engine
+    assert inspect.signature(lambda_sweep).parameters["engine"].default == RunConfig().engine
+
+
+def test_minibatch_engine_names_the_method():
+    with pytest.raises(ValueError, match='method="minibatch_fairkm"'):
+        RunConfig(engine="minibatch")
+
+
+def _legacy_problem():
+    import numpy as np
+
+    rng = np.random.default_rng(4)
+    points = np.vstack([rng.normal(0, 1, (60, 3)), rng.normal(4, 1, (60, 3))])
+    return points, {"g": rng.integers(0, 3, 120)}
+
+
+def test_legacy_sequential_config_round_trips_and_fits_sequentially():
+    from repro.api import build_estimator
+    from repro.core import SequentialSweep
+
+    data = {**RunConfig(k=3).to_dict(), "engine": "sequential"}
+    config = RunConfig.from_dict(data)
+    assert config.engine == "sequential"
+    assert config.to_dict() == data
+    estimator = build_estimator(config)
+    assert isinstance(estimator.sweep, SequentialSweep)
+    points, sensitive = _legacy_problem()
+    result = estimator.fit(points, sensitive=sensitive)
+    assert result.diagnostics["engine"] == "sequential"
+
+
+def test_legacy_minibatch_engine_config_loads_as_minibatch_fairkm():
+    import numpy as np
+
+    from repro.api import build_estimator
+    from repro.core import MiniBatchFairKM
+
+    config = RunConfig.from_dict({"method": "fairkm", "engine": "minibatch", "chunk_size": 48})
+    assert config == RunConfig(method="minibatch_fairkm", chunk_size=48)
+    points, sensitive = _legacy_problem()
+    estimator = build_estimator(config)
+    got = estimator.fit(points, sensitive=sensitive)
+    expected = MiniBatchFairKM(config.k, batch_size=48, seed=config.seed).fit(
+        points, sensitive=sensitive
+    )
+    np.testing.assert_array_equal(got.labels, expected.labels)
+    assert got.objective_history == expected.objective_history
+    assert got.diagnostics["engine"] == "minibatch"
+    # Other methods never read the key: it is dropped, the method kept.
+    assert RunConfig.from_dict({"method": "kmeans", "engine": "minibatch"}) == RunConfig(
+        method="kmeans"
+    )
+
+
+def test_cluster_model_v1_fixture_config_loads_unchanged():
+    from pathlib import Path
+
+    from repro.api import ClusterModel
+
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cluster_model_v1"
+    stored = json.loads((fixture / "model.json").read_text())["config"]
+    loaded = ClusterModel.load(fixture).config.to_dict()
+    assert {key: loaded[key] for key in stored} == stored

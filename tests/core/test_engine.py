@@ -33,7 +33,7 @@ def problem(rng):
 
 
 def test_registry_names():
-    assert set(SWEEP_STRATEGIES) == {"sequential", "chunked", "minibatch"}
+    assert set(SWEEP_STRATEGIES) == {"sequential", "chunked"}
 
 
 def test_make_sweep_resolves_names():
@@ -41,9 +41,8 @@ def test_make_sweep_resolves_names():
     chunked = make_sweep("chunked", chunk_size=64)
     assert isinstance(chunked, ChunkedSweep)
     assert chunked.chunk_size == 64
-    mb = make_sweep("minibatch", chunk_size=32)
-    assert isinstance(mb, MiniBatchSweep)
-    assert mb.batch_size == 32
+    with pytest.raises(ValueError, match="unknown engine"):
+        make_sweep("minibatch", chunk_size=32)
 
 
 def test_make_sweep_passes_instances_through():
@@ -78,7 +77,7 @@ def test_chunked_validates_parameters():
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
 def test_chunked_matches_sequential(problem, chunk_size):
     points, cats, nums = problem
-    seq = FairKM(3, seed=11).fit(points, categorical=cats, numeric=nums)
+    seq = FairKM(3, seed=11, engine="sequential").fit(points, categorical=cats, numeric=nums)
     chk = FairKM(3, seed=11, engine="chunked", chunk_size=chunk_size).fit(
         points, categorical=cats, numeric=nums
     )
@@ -90,7 +89,9 @@ def test_chunked_matches_sequential(problem, chunk_size):
 
 def test_chunked_matches_sequential_unshuffled(problem):
     points, cats, nums = problem
-    seq = FairKM(4, seed=0, shuffle=False).fit(points, categorical=cats, numeric=nums)
+    seq = FairKM(4, seed=0, shuffle=False, engine="sequential").fit(
+        points, categorical=cats, numeric=nums
+    )
     chk = FairKM(4, seed=0, shuffle=False, engine="chunked").fit(
         points, categorical=cats, numeric=nums
     )
@@ -101,7 +102,9 @@ def test_chunked_matches_sequential_unshuffled(problem):
 def test_chunked_matches_sequential_allow_empty_false(problem):
     points, cats, nums = problem
     kwargs = dict(lambda_=1e6, allow_empty=False, max_iter=40)
-    seq = FairKM(6, seed=3, **kwargs).fit(points, categorical=cats, numeric=nums)
+    seq = FairKM(6, seed=3, engine="sequential", **kwargs).fit(
+        points, categorical=cats, numeric=nums
+    )
     chk = FairKM(6, seed=3, engine="chunked", chunk_size=32, **kwargs).fit(
         points, categorical=cats, numeric=nums
     )
@@ -117,7 +120,7 @@ def test_chunked_reusable_across_fits(problem):
     second = est.fit(points, categorical=cats, numeric=nums)
     # Second fit consumes fresh RNG draws, so results differ in general,
     # but both must match their sequential counterparts drawn in order.
-    seq_est = FairKM(3, seed=5)
+    seq_est = FairKM(3, seed=5, engine="sequential")
     np.testing.assert_array_equal(
         first.labels, seq_est.fit(points, categorical=cats, numeric=nums).labels
     )
@@ -208,17 +211,3 @@ def test_fit_rejects_non_finite_points(problem, estimator, bad):
     points[7, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         estimator(3, seed=0).fit(points, categorical=cats, numeric=nums)
-
-
-def test_minibatch_engine_through_fairkm(problem):
-    """engine='minibatch' on FairKM equals MiniBatchFairKM with the same
-    batch size."""
-    points, cats, nums = problem
-    via_fairkm = FairKM(3, seed=2, engine="minibatch", chunk_size=48).fit(
-        points, categorical=cats, numeric=nums
-    )
-    via_class = MiniBatchFairKM(3, batch_size=48, seed=2).fit(
-        points, categorical=cats, numeric=nums
-    )
-    np.testing.assert_array_equal(via_fairkm.labels, via_class.labels)
-    assert via_fairkm.objective == via_class.objective

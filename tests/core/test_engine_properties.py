@@ -37,7 +37,7 @@ def engine_problems(draw):
 @settings(max_examples=40, deadline=None)
 def test_chunked_equals_sequential(problem):
     points, cats, nums, k, lam, chunk_size, shuffle, seed = problem
-    seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed).fit(
+    seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed, engine="sequential").fit(
         points, categorical=cats, numeric=nums
     )
     chk = FairKM(
@@ -60,7 +60,7 @@ def test_chunked_equals_sequential(problem):
 @settings(max_examples=25, deadline=None)
 def test_minibatch_of_one_equals_fairkm(problem):
     points, cats, nums, k, lam, _, shuffle, seed = problem
-    exact = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed).fit(
+    exact = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed, engine="sequential").fit(
         points, categorical=cats, numeric=nums
     )
     mb = MiniBatchFairKM(k, batch_size=1, lambda_=lam, shuffle=shuffle, seed=seed).fit(
@@ -94,7 +94,7 @@ def test_exact_engines_are_descent_methods(problem):
     """Every exact engine's objective_history never increases (b <= a),
     and the chunked sweep at one and two workers equals the sequential."""
     points, cats, nums, k, chunk_size, config = problem
-    seq = FairKM(k, **config).fit(points, categorical=cats, numeric=nums)
+    seq = FairKM(k, engine="sequential", **config).fit(points, categorical=cats, numeric=nums)
     fits = [seq] + [
         FairKM(k, engine="chunked", chunk_size=chunk_size, workers=j, **config).fit(
             points, categorical=cats, numeric=nums

@@ -188,3 +188,35 @@ def test_attribute_weights_steer_attention(rng):
     ae_plain = categorical_fairness(a, plain.labels, 2, 2).ae
     ae_boosted = categorical_fairness(a, boosted.labels, 2, 2).ae
     assert ae_boosted <= ae_plain + 1e-6
+
+
+def _constant_feature_case(case):
+    rng = np.random.default_rng(0)
+    n = 60
+    points = rng.normal(size=(n, 2))
+    if case == "constant_numeric":
+        return points, {"numeric": [NumericSpec("z", np.full(n, 3.5))]}
+    if case == "single_valued_categorical":
+        return points, {"categorical": [CategoricalSpec("c", np.zeros(n, dtype=int))]}
+    return np.ones((n, 2)), {"categorical": [CategoricalSpec("c", rng.integers(0, 2, n))]}
+
+
+@pytest.mark.parametrize(
+    "case", ["constant_numeric", "single_valued_categorical", "identical_points"]
+)
+def test_constant_features_converge_identically_on_both_exact_engines(case):
+    """A sensitive attribute with one value, or points with no spread,
+    leaves a zero term in the objective: both exact engines still agree,
+    stay finite and converge."""
+    from repro.metrics import numeric_fairness
+
+    points, specs = _constant_feature_case(case)
+    seq = FairKM(3, seed=0, engine="sequential").fit(points, **specs)
+    chk = FairKM(3, seed=0, engine="chunked").fit(points, **specs)
+    np.testing.assert_array_equal(seq.labels, chk.labels)
+    assert seq.objective_history == chk.objective_history
+    for res in (seq, chk):
+        assert np.isfinite(res.objective) and res.converged
+    if case == "constant_numeric":
+        report = numeric_fairness(specs["numeric"][0].values, chk.labels, 3)
+        assert report.ae == report.me == 0.0

@@ -124,7 +124,6 @@ def test_frozen_view_detects_resync(small_state):
 
 def test_make_sweep_threads_workers():
     assert make_sweep("chunked", workers=4).backend.workers == 4
-    assert make_sweep("minibatch", chunk_size=1024, workers=2).backend.workers == 2
     assert make_sweep("chunked").backend.workers == 1
 
 
@@ -194,7 +193,7 @@ def parallel_problems(draw):
 def test_parallel_chunked_equals_sequential(problem):
     """ChunkedSweep(workers=j) is bit-identical to sequential for every j."""
     points, cats, nums, k, lam, chunk_size, shuffle, seed = problem
-    seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed).fit(
+    seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed, engine="sequential").fit(
         points, categorical=cats, numeric=nums
     )
     for j in (1, 2, 4):
@@ -288,7 +287,7 @@ def test_dense_valve_fires_on_a_later_sweep():
     modes = [s["mode"] for s in result.diagnostics["sweeps"]]
     assert modes[0] == "dense_fallback"
     assert "chunked+dense_tail" in modes[1:]
-    seq = FairKM(3, lambda_=100.0, seed=0).fit(points, categorical=cats)
+    seq = FairKM(3, lambda_=100.0, seed=0, engine="sequential").fit(points, categorical=cats)
     np.testing.assert_array_equal(result.labels, seq.labels)
     assert result.objective_history == seq.objective_history
 

@@ -129,6 +129,29 @@ def test_random_move_sequences_keep_caches_exact(seed, n, k):
     assert state.objective(lam) == pytest.approx(direct, rel=1e-7, abs=1e-8)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_cache_drift_stays_bounded_over_long_runs_without_resync(offset):
+    """20,000 incremental moves and no resync (the ``resync_every=0``
+    regime): every cache stays within 1e-9 of its own largest magnitude
+    of a fresh rebuild, also for points far from the origin, where the
+    squared-norm caches are large."""
+    rng = np.random.default_rng(0)
+    n, k, moves = 500, 8, 20_000
+    points = rng.normal(size=(n, 3)) + offset
+    cats = [CategoricalSpec("c", rng.integers(0, 4, n), n_values=4)]
+    nums = [NumericSpec("z", rng.normal(size=n))]
+    state = ClusterState(points, rng.integers(0, k, n), k, cats, nums)
+    for i, target in zip(rng.integers(0, n, moves).tolist(), rng.integers(0, k, moves).tolist()):
+        state.apply_move(i, target)
+    fresh = ClusterState(points, state.labels, k, cats, nums)
+    names = ("sums", "sum_sqnorm", "sq_total", "sizes", "_counts", "_f", "_h")
+    pairs = [(name, getattr(state, name), getattr(fresh, name)) for name in names]
+    pairs += [("d", mine.d, theirs.d) for mine, theirs in zip(state._num, fresh._num)]
+    for name, live, rebuilt in pairs:
+        scale = float(np.max(np.abs(rebuilt)))
+        assert float(np.max(np.abs(live - rebuilt))) <= 1e-9 * scale, name
+
+
 def test_batch_move_deltas_match_single(rng):
     state, lam = build_state(7, n=30, k=4)
     indices = np.arange(state.n)

@@ -12,7 +12,6 @@ from repro.api import ClusterModel, RunConfig
 from repro.experiments.paper import (
     EXPERIMENTS,
     BenchSettings,
-    bench_scale,
     build_adult,
     build_kinematics,
     dataset_lambda,
@@ -20,36 +19,28 @@ from repro.experiments.paper import (
 )
 
 
-def test_bench_scale_defaults(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_SEEDS", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_ADULT_N", raising=False)
-    assert bench_scale() == (3, 6000)
-
-
-def test_bench_scale_env_overrides(monkeypatch):
+def test_bench_settings_resolution(monkeypatch, capsys):
+    """repro paper builds BenchSettings from its flags alone: --full is
+    paper scale for whatever the other flags leave unset, and no
+    environment variable fills a gap."""
+    seen = []
+    monkeypatch.setitem(EXPERIMENTS, "table7", (seen.append, "stub"))
     monkeypatch.setenv("REPRO_BENCH_SEEDS", "7")
-    monkeypatch.setenv("REPRO_BENCH_ADULT_N", "1234")
-    assert bench_scale() == (7, 1234)
+    monkeypatch.setenv("REPRO_ENGINE", "sequential")
 
+    def run(*flags):
+        assert cli.main(["paper", "table7", *flags]) == 0
+        return seen.pop()
 
-def test_bench_scale_full(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-    assert bench_scale() == (100, 32561)
-
-
-def test_bench_settings_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-    monkeypatch.setenv("REPRO_BENCH_SEEDS", "4")
-    monkeypatch.delenv("REPRO_BENCH_ADULT_N", raising=False)
-    monkeypatch.setenv("REPRO_ENGINE", "chunked")
-    monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
-    # Env supplies unset knobs; explicit arguments win.
-    settings = BenchSettings.resolve(adult_n=999)
-    assert settings == BenchSettings(seeds=4, adult_n=999, engine="chunked")
-    assert BenchSettings.resolve(seeds=2, engine="sequential").seeds == 2
-    assert BenchSettings.resolve(full=True).adult_n == 32561
-    assert BenchSettings.resolve(full=True, seeds=5).seeds == 5
+    assert run() == BenchSettings() == BenchSettings(seeds=3, adult_n=6000, engine="chunked")
+    assert run("--adult-n", "999", "--engine", "sequential") == BenchSettings(
+        adult_n=999, engine="sequential"
+    )
+    assert run("--full") == BenchSettings(seeds=100, adult_n=32561)
+    assert run("--full", "--seeds", "5", "--chunk-size", "64") == BenchSettings(
+        seeds=5, adult_n=32561, chunk_size=64
+    )
+    capsys.readouterr()
 
 
 def test_dataset_lambda_matches_paper_kinematics():
@@ -127,8 +118,7 @@ def test_cli_runs_kinematics_table(capsys, monkeypatch, tmp_path):
     import repro.experiments.paper as paper
 
     monkeypatch.setattr(paper, "RESULTS_DIR", tmp_path / "results")
-    monkeypatch.setenv("REPRO_BENCH_SEEDS", "1")
-    assert cli.main(["paper", "table7"]) == 0
+    assert cli.main(["paper", "table7", "--seeds", "1"]) == 0
     captured = capsys.readouterr()
     assert "Table 7" in captured.out
     assert (tmp_path / "results" / "table7_kinematics_quality.txt").exists()

@@ -172,7 +172,7 @@ def test_chunked_engine_suite_matches_sequential():
     ds = make_fair_problem(
         150, n_latent=3, categorical=[("a", 2, 0.85), ("b", 3, 0.6)], seed=2
     )
-    base = SuiteConfig(k=3, seeds=(0, 1), silhouette_sample=None)
+    base = SuiteConfig(k=3, seeds=(0, 1), silhouette_sample=None, engine="sequential")
     seq = run_suite(ds, base)
     chk = run_suite(
         ds, SuiteConfig(k=3, seeds=(0, 1), silhouette_sample=None, engine="chunked")

@@ -119,7 +119,7 @@ def test_export_state_diagnostics_are_plain_scalars(data):
     # JSON-able scalars only — structured telemetry (e.g. the per-sweep
     # list on FairKMResult.diagnostics) must not leak into artifacts.
     assert all(isinstance(v, (bool, int, float, str)) for v in diagnostics.values())
-    assert diagnostics["engine"] == "sequential"
+    assert diagnostics["engine"] == "chunked"
 
 
 def test_kmeans_ignores_sensitive(data):
