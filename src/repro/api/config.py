@@ -44,13 +44,14 @@ class RunConfig:
             mini-batch approximation is ``method="minibatch_fairkm"``.
         chunk_size: chunk size of the chunked engine; doubles as the
             ``minibatch_fairkm`` batch size. ``None`` keeps the default.
-        backend: training execution backend (one of :data:`BACKENDS`):
-            ``"local"`` scores in a thread pool (default),
-            ``"multiprocess"`` in worker processes over one
-            shared-memory data placement (bit-identical results at
-            every worker count). A host-execution knob, not persisted
-            by ``ClusterModel.save``.
-        workers: training worker count for *backend* — an integer
+        backend: execution backend of ``minibatch_fairkm``'s shard
+            scoring (one of :data:`BACKENDS`; every other method,
+            ``fairkm`` included, ignores it): ``"local"`` scores in a
+            thread pool (default), ``"multiprocess"`` in worker
+            processes over one shared-memory data placement
+            (bit-identical results at every worker count). A
+            host-execution knob, not persisted by ``ClusterModel.save``.
+        workers: worker count for *backend* — an integer
             >= 1 (default 1, serial), -1 or ``"auto"`` (one per usable
             CPU, honoring the ``REPRO_CORE_BUDGET`` env cap). Results
             are bit-identical for every value — the knob only trades
@@ -75,6 +76,7 @@ class RunConfig:
     sensitive: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        from ..core.lambda_heuristic import check_lambda
         from ..core.parallel import as_integral, validate_workers
 
         if not self.method or not isinstance(self.method, str):
@@ -85,11 +87,7 @@ class RunConfig:
             object.__setattr__(self, "chunk_size", as_integral(self.chunk_size, "chunk_size"))
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if isinstance(self.lambda_, str):
-            if self.lambda_ != "auto":
-                raise ValueError(f'lambda_ must be a number or "auto", got {self.lambda_!r}')
-        elif float(self.lambda_) < 0:
-            raise ValueError(f"lambda_ must be non-negative, got {self.lambda_}")
+        check_lambda(self.lambda_)
         if self.max_iter <= 0:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.engine == "minibatch":

@@ -110,8 +110,6 @@ register_method(
         engine=cfg.engine,
         chunk_size=cfg.chunk_size,
         seed=cfg.seed,
-        backend=cfg.backend,
-        workers=cfg.workers,
     ),
 )
 register_method(

@@ -41,6 +41,7 @@ import numpy as np
 from ..cluster.distance import pairwise_sq_euclidean
 from ..cluster.init import initial_centers
 from ..core.attributes import single_categorical
+from ..core.lambda_heuristic import check_lambda
 from ..core.protocol import EstimatorMixin
 
 _EPS = 1e-12
@@ -104,11 +105,7 @@ class ZGYA(EstimatorMixin):
     ) -> None:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if isinstance(lambda_, str):
-            if lambda_ != "auto":
-                raise ValueError(f'lambda_ must be a number or "auto", got {lambda_!r}')
-        elif lambda_ < 0:
-            raise ValueError(f"lambda_ must be non-negative, got {lambda_}")
+        check_lambda(lambda_)
         if max_iter <= 0 or inner_iter <= 0:
             raise ValueError("max_iter and inner_iter must be positive")
         self.k = k

@@ -69,18 +69,15 @@ def workers_value(text: str) -> int | str:
 
 
 def lambda_value(text: str) -> float | str:
-    """argparse type: a non-negative float or the string ``auto``."""
-    if text == "auto":
-        return "auto"
+    """argparse type: a finite non-negative float or the string ``auto``."""
+    from .core.lambda_heuristic import check_lambda
+
     try:
-        value = float(text)
+        return check_lambda(text if text == "auto" else float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f'lambda must be a number or "auto", got {text!r}'
+            f'lambda must be a finite non-negative number or "auto", got {text!r}'
         ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"lambda must be non-negative, got {value}")
-    return value
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser, *, with_data: bool) -> None:
@@ -144,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
-        help="training execution backend: 'local' (thread pool, default), "
-        "'multiprocess' (worker processes over shared memory; bit-identical "
-        "results)",
+        help="minibatch_fairkm shard-scoring backend: 'local' (thread pool, "
+        "default), 'multiprocess' (worker processes over shared memory; "
+        "bit-identical results); other methods ignore it",
     )
     p_fit.add_argument(
         "--workers", type=workers_value, default=None,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cluster.init import INIT_STRATEGIES
+from .lambda_heuristic import check_lambda
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,11 @@ class FairKMConfig:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.max_iter <= 0:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be a finite non-negative number, got {self.tol}")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"init must be one of {INIT_STRATEGIES}, got {self.init!r}")
-        if isinstance(self.lambda_, str):
-            if self.lambda_ != "auto":
-                raise ValueError(f'lambda_ must be a number or "auto", got {self.lambda_!r}')
-        elif float(self.lambda_) < 0:
-            raise ValueError(f"lambda_ must be non-negative, got {self.lambda_}")
+        check_lambda(self.lambda_)
         if self.resync_every < 0:
             raise ValueError(f"resync_every must be non-negative, got {self.resync_every}")
 

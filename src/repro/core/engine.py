@@ -102,20 +102,6 @@ class SequentialSweep(SweepStrategy):
         return moves
 
 
-def _resolve_backend(backend, workers: int):
-    """Normalize a sweep's ``backend`` argument to a Backend instance.
-
-    Imported lazily: ``repro.backend`` depends on ``repro.core`` (the
-    other direction of this call), so the import must not run at this
-    module's import time.
-    """
-    from ..backend import Backend, make_backend
-
-    if isinstance(backend, Backend):
-        return backend
-    return make_backend(backend, workers)
-
-
 class ChunkedSweep(SweepStrategy):
     """Vectorized chunked-exact sweep.
 
@@ -128,10 +114,13 @@ class ChunkedSweep(SweepStrategy):
     with one ``batch_move_deltas`` call: the same stateless kernel that
     scores fresh windows, so a repaired row holds exactly the value a
     fresh window would. A window's row-side inputs are gathered once
-    (:meth:`ClusterState.gather`); each repair scores a suffix view. After each repair the pending scores equal what
-    the sequential sweep would compute at its visit time, so the
-    decision sequence — visit order, accepted moves, chosen targets — is
-    exactly the sequential sweep's.
+    (:meth:`ClusterState.gather`); each repair scores a suffix view.
+    After each repair the pending scores equal what the sequential sweep
+    would compute at its visit time, so the decision sequence — visit
+    order, accepted moves, chosen targets — is exactly the sequential
+    sweep's. The sweep is serial by nature (Algorithm 1's every move
+    changes the statistics the next object decides against), so one
+    window is scored at a time.
 
     The first iteration after ``reset`` (unknown move rate; the shuffle
     after a random init, where most objects move) runs the sequential
@@ -145,33 +134,10 @@ class ChunkedSweep(SweepStrategy):
     the rows still pending in its window, so bounding the expected moves
     per window bounds the repair work.
 
-    With ``workers > 1`` the sweep prefetches: groups of
-    :data:`PREFETCH_WINDOWS` windows are scored concurrently against the
-    frozen statistics (NumPy's GEMMs release the GIL), then the group is
-    scanned serially, one window at a time, with the same per-move
-    repair confined to the current window. A window entered after a
-    move in its group is re-scored whole first. The task partition —
-    window boundaries and group size — depends only on ``chunk_size``
-    and the adaptive window, never on the worker count, so every thread
-    count computes the identical delta arrays and the decision sequence
-    stays exactly the sequential sweep's. Prefetching coarsens the
-    safety valve to group boundaries: a sweep that turns dense mid-group
-    pays repair for at most the remaining prefetched windows before the
-    valve fires — a bounded wall-clock cost, never a decision change.
-
     Args:
         chunk_size: maximum objects scored per vectorized batch call.
         dense_threshold: realized move rate above which the rest of a
             sweep runs the sequential inner loop instead of chunk scoring.
-        workers: worker threads scoring windows concurrently (``1``
-            serial, ``-1`` or ``"auto"`` one per usable CPU). Decisions
-            are identical for every value.
-        backend: execution backend scoring the window groups — a
-            :class:`repro.backend.Backend` instance, a name for
-            :func:`repro.backend.make_backend`, or ``None`` for the
-            default thread-pool :class:`~repro.backend.LocalBackend`
-            at ``workers`` width. Decisions are identical for every
-            backend (see ``tests/backend/``).
     """
 
     name = "chunked"
@@ -181,18 +147,8 @@ class ChunkedSweep(SweepStrategy):
     #: Minimum adaptive window; below this the fixed per-call NumPy
     #: overhead of ``batch_move_deltas`` dominates.
     MIN_WINDOW = 32
-    #: Windows scored ahead per parallel round. Fixed (never derived
-    #: from ``workers``) so the task partition — and therefore every
-    #: computed array — is identical for every worker count.
-    PREFETCH_WINDOWS = 8
 
-    def __init__(
-        self,
-        chunk_size: int = 256,
-        dense_threshold: float = 0.4,
-        workers: int | str | None = 1,
-        backend=None,
-    ) -> None:
+    def __init__(self, chunk_size: int = 256, dense_threshold: float = 0.4) -> None:
         super().__init__()
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -202,7 +158,6 @@ class ChunkedSweep(SweepStrategy):
             )
         self.chunk_size = int(chunk_size)
         self.dense_threshold = float(dense_threshold)
-        self.backend = _resolve_backend(backend, resolve_workers(workers))
         self._sequential = SequentialSweep()
         self._prev_rate: float | None = None
 
@@ -230,64 +185,25 @@ class ChunkedSweep(SweepStrategy):
         stats = {
             "mode": "chunked",
             "window": window,
-            "backend": self.backend.name,
-            "workers": self.backend.workers,
             "scoring_s": 0.0,
             "repair_s": 0.0,
         }
-        # One parallel round scans this many objects: a single window
-        # serially, a prefetched group of windows when the backend is
-        # wider than one worker.
-        stride = window if self.backend.workers == 1 else window * self.PREFETCH_WINDOWS
         moves = 0
-        for start in range(0, n, stride):
+        for start in range(0, n, window):
             # Mid-sweep safety valve: if this sweep turned out dense
             # after all, stop paying for per-move repairs.
             if start >= 2 * window and moves / start > self.dense_threshold:
                 moves += self._sequential.sweep(state, order[start:], lam, cfg)
                 stats["mode"] = "chunked+dense_tail"
                 break
-            group = order[start : start + stride]
-            blocks = [state.gather(group[lo : lo + window]) for lo in range(0, len(group), window)]
-            deltas = self._score_group(state, group, blocks, window, lam, stats)
-            moved = False
-            for lo, block in zip(range(0, len(group), window), blocks):
-                if moved:  # the prefetched scores of this window are stale
-                    repair_start = time.perf_counter()
-                    deltas[lo : lo + window] = state.batch_move_deltas(block, lam)
-                    stats["repair_s"] += time.perf_counter() - repair_start
-                hits = self._scan_window(state, block, lam, cfg, deltas[lo : lo + window], stats)
-                moved = moved or hits > 0
-                moves += hits
+            block = state.gather(order[start : start + window])
+            scoring_start = time.perf_counter()
+            deltas = state.batch_move_deltas(block, lam)
+            stats["scoring_s"] += time.perf_counter() - scoring_start
+            moves += self._scan_window(state, block, lam, cfg, deltas, stats)
         self._prev_rate = moves / n
         self.last_stats = stats
         return moves
-
-    def _score_group(
-        self,
-        state: ClusterState,
-        group: np.ndarray,
-        blocks: list[RowBlock],
-        window: int,
-        lam: float,
-        stats: dict,
-    ) -> np.ndarray:
-        """Score every window of *group* against the frozen statistics.
-
-        The window partition (:meth:`Backend.shard`) is identical for
-        every worker count and backend; the backend only decides
-        *where* each per-window ``batch_move_deltas`` call runs, so the
-        merged result is the same array serial scoring would produce.
-        A one-window group is scored in process from its gathered block.
-        """
-        start = time.perf_counter()
-        if len(blocks) == 1:
-            deltas = state.batch_move_deltas(blocks[0], lam)
-        else:
-            parts = self.backend.map_score(state, self.backend.shard(group, window), lam)
-            deltas = self.backend.merge_stats(parts)
-        stats["scoring_s"] += time.perf_counter() - start
-        return deltas
 
     @staticmethod
     def _scan_window(
@@ -365,7 +281,11 @@ class MiniBatchSweep(SweepStrategy):
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = int(batch_size)
-        self.backend = _resolve_backend(backend, resolve_workers(workers))
+        # Imported lazily: ``repro.backend`` depends on ``repro.core``.
+        from ..backend import Backend, make_backend
+
+        workers = resolve_workers(workers)
+        self.backend = backend if isinstance(backend, Backend) else make_backend(backend, workers)
         self._shards = 0
 
     def reset(self) -> None:
@@ -444,13 +364,7 @@ SWEEP_STRATEGIES: dict[str, type[SweepStrategy]] = {
 }
 
 
-def make_sweep(
-    engine: str | SweepStrategy,
-    *,
-    chunk_size: int | None = None,
-    workers: int | str | None = None,
-    backend=None,
-) -> SweepStrategy:
+def make_sweep(engine: str | SweepStrategy, *, chunk_size: int | None = None) -> SweepStrategy:
     """Resolve an ``engine`` argument into a :class:`SweepStrategy`.
 
     Args:
@@ -459,30 +373,18 @@ def make_sweep(
         chunk_size: chunk size for ``"chunked"``; ``None`` keeps its
             default. Rejected alongside a strategy *instance* — the
             instance already carries its own sizing.
-        workers: scoring worker count for ``"chunked"`` (``None``/1
-            serial, -1 or ``"auto"`` one per usable CPU). Ignored by
-            ``"sequential"``, whose decision loop is inherently serial;
-            like ``chunk_size``, rejected alongside a strategy instance.
-        backend: execution backend for ``"chunked"`` — a
-            :class:`repro.backend.Backend` instance or a
-            :data:`repro.backend.BACKEND_NAMES` name (``None`` keeps
-            the thread-pool default). Ignored by ``"sequential"``;
-            rejected alongside a strategy instance.
     """
     if isinstance(engine, SweepStrategy):
-        if chunk_size is not None or workers is not None or backend is not None:
+        if chunk_size is not None:
             raise ValueError(
-                "chunk_size/workers/backend cannot be combined with a "
-                "SweepStrategy instance; configure the instance directly"
+                "chunk_size cannot be combined with a SweepStrategy "
+                "instance; configure the instance directly"
             )
         return engine
-    workers = resolve_workers(workers)
     if engine == SequentialSweep.name:
         return SequentialSweep()
     if engine == ChunkedSweep.name:
-        if chunk_size is None:
-            return ChunkedSweep(workers=workers, backend=backend)
-        return ChunkedSweep(chunk_size, workers=workers, backend=backend)
+        return ChunkedSweep() if chunk_size is None else ChunkedSweep(chunk_size)
     raise ValueError(
         f"unknown engine {engine!r}; expected one of {sorted(SWEEP_STRATEGIES)} "
         "or a SweepStrategy instance"
@@ -561,9 +463,12 @@ class OptimizerEngine:
         lam = resolve_lambda(cfg.lambda_, n, cfg.k)
 
         if initial is not None:
-            labels = np.asarray(initial, dtype=np.int64).copy()
-            if labels.shape != (n,):
+            raw = np.asarray(initial)
+            if raw.shape != (n,):
                 raise ValueError(f"initial labels must have shape ({n},)")
+            if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
+                raise ValueError("initial labels must be integers")
+            labels = raw.astype(np.int64)
         else:
             labels = initial_labels(points, cfg.k, cfg.init, self._rng)
 
@@ -574,9 +479,9 @@ class OptimizerEngine:
         sweep_stats: list[dict] = []
         converged = False
         n_iter = 0
-        # The sweep's execution backend owns the fit's data placement
-        # (e.g. shared-memory segments): started once per fit, torn
-        # down unconditionally so a failed fit leaks nothing.
+        # A mini-batch sweep's execution backend owns the fit's data
+        # placement (e.g. shared-memory segments): started once per fit,
+        # torn down unconditionally so a failed fit leaks nothing.
         backend = getattr(self.sweep_strategy, "backend", None)
         if backend is not None:
             backend.start(state)

@@ -64,15 +64,6 @@ class FairKM(EstimatorMixin):
             instance.
         chunk_size: chunk size of the ``"chunked"`` engine; ``None``
             keeps the strategy default.
-        backend: execution backend for the parallel scoring path of
-            the ``"chunked"`` engine —
-            ``"local"`` (thread pool, default), ``"multiprocess"``
-            (worker processes over a shared-memory data placement;
-            bit-identical results), or a :class:`repro.backend.Backend`
-            instance. Ignored by ``"sequential"``.
-        workers: worker count for *backend* (``None``/1 serial, -1 or
-            ``"auto"`` one per usable CPU). Results are identical for
-            every value; ignored by ``"sequential"``.
         seed: RNG seed or generator for initialization and shuffling.
     """
 
@@ -89,8 +80,6 @@ class FairKM(EstimatorMixin):
         resync_every: int = 1,
         engine: str | SweepStrategy = "chunked",
         chunk_size: int | None = None,
-        backend: str | None = None,
-        workers: int | str | None = None,
         seed: int | np.random.Generator | None = None,
     ) -> None:
         self.config = FairKMConfig(
@@ -103,12 +92,7 @@ class FairKM(EstimatorMixin):
             shuffle=shuffle,
             resync_every=resync_every,
         )
-        self.sweep = make_sweep(
-            engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            backend=backend,
-        )
+        self.sweep = make_sweep(engine, chunk_size=chunk_size)
         self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def fit(

@@ -12,6 +12,8 @@ and ≈10³ for Kinematics (n = 161, k = 5).
 
 from __future__ import annotations
 
+import math
+
 
 def default_lambda(n: int, k: int) -> float:
     """Return the paper's recommended fairness weight ``(n/k)²``."""
@@ -22,13 +24,27 @@ def default_lambda(n: int, k: int) -> float:
     return (n / k) ** 2
 
 
+def check_lambda(value: float | str) -> float | str:
+    """Validate a λ argument: the string ``"auto"`` or a finite number >= 0.
+
+    Returns ``"auto"`` or the value as a float; raises ``ValueError``
+    for anything else, NaN and ±inf included.
+    """
+    if isinstance(value, str):
+        if value == "auto":
+            return value
+    else:
+        try:
+            lam = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(lam) and lam >= 0:
+                return lam
+    raise ValueError(f'lambda_ must be a finite non-negative number or "auto", got {value!r}')
+
+
 def resolve_lambda(lambda_: float | str, n: int, k: int) -> float:
     """Resolve a user-provided λ: a number, or the string ``"auto"``."""
-    if isinstance(lambda_, str):
-        if lambda_ != "auto":
-            raise ValueError(f'lambda_ must be a number or "auto", got {lambda_!r}')
-        return default_lambda(n, k)
-    value = float(lambda_)
-    if value < 0:
-        raise ValueError(f"lambda_ must be non-negative, got {value}")
-    return value
+    lam = check_lambda(lambda_)
+    return default_lambda(n, k) if lam == "auto" else lam

@@ -30,8 +30,12 @@ class MiniBatchFairKM(FairKM):
     """FairKM with batched assignment updates (§6.1).
 
     Accepts the hyper-parameters of :class:`FairKM` except ``engine``
-    and ``chunk_size``, plus ``batch_size``. See the module docstring
-    for semantics.
+    and ``chunk_size``, plus ``batch_size`` and the shard-scoring
+    execution spec: ``backend`` (``"local"`` thread pool, the default;
+    ``"multiprocess"``; or a :class:`repro.backend.Backend` instance)
+    and ``workers`` (``None``/1 serial, -1 or ``"auto"`` one per usable
+    CPU). Results are identical for every backend and worker count.
+    See the module docstring for semantics.
 
     Note on ``resync_every``: the mini-batch scheme rebuilds the cluster
     statistics after every batch that moved objects — that is intrinsic

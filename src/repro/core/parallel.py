@@ -1,13 +1,12 @@
 """Shared thread-pool utilities for the parallel hot paths.
 
-Every parallel section in this repo — the chunked sweep's window
-scoring, the mini-batch sweep's shard scoring, the ``Assigner``'s
-chunk fan-out — has the same shape: a list of independent NumPy-heavy
-tasks whose results must come back *in submission order*, executed
-against statistics that nothing mutates while the tasks run. Threads
-are the right vehicle because the work is dominated by NumPy GEMMs and
-reductions, which release the GIL; processes would pay serialization
-for no gain.
+Every parallel section in this repo — the mini-batch sweep's shard
+scoring and the ``Assigner``'s chunk fan-out — has the same shape: a
+list of independent NumPy-heavy tasks whose results must come back *in
+submission order*, executed against statistics that nothing mutates
+while the tasks run. Threads are the right vehicle because the work is
+dominated by NumPy GEMMs and reductions, which release the GIL;
+processes would pay serialization for no gain.
 
 Two invariants this module enforces:
 
@@ -15,7 +14,7 @@ Two invariants this module enforces:
   regardless of completion order or worker count, so a parallel caller
   computes exactly the arrays a serial caller would (the *partitioning*
   of work into tasks is the caller's job and must not depend on the
-  worker count; see :class:`repro.core.engine.ChunkedSweep`).
+  worker count; see :class:`repro.core.engine.MiniBatchSweep`).
 * **Frozen reads** — :class:`FrozenScoringView` wraps a
   :class:`~repro.core.state.ClusterState` for the scoring side and
   verifies on every call that the state has not been mutated since the
@@ -117,9 +116,9 @@ def resolve_workers(value: int | str | None) -> int:
 class WorkerPool:
     """A reusable thread pool bound to one worker count.
 
-    The hot loops dispatch one small task group per prefetch round /
-    batch / request, thousands of times per fit — creating and joining
-    a fresh executor each round would pay thread spawn on every one.
+    The hot loops dispatch one small task group per batch / request,
+    thousands of times per fit — creating and joining a fresh executor
+    each round would pay thread spawn on every one.
     The pool therefore creates its executor lazily on the first
     genuinely parallel dispatch and keeps it for the owner's lifetime
     (sweep strategies and ``Assigner`` instances each own one);

@@ -30,11 +30,38 @@ def test_defaults():
         ({"engine": "warp"}, "engine"),
         ({"chunk_size": 0}, "chunk_size"),
         ({"method": ""}, "method"),
+        ({"lambda_": float("nan")}, "finite non-negative"),
+        ({"lambda_": float("inf")}, "finite non-negative"),
+        ({"lambda_": float("-inf")}, "finite non-negative"),
     ],
 )
 def test_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         RunConfig(**kwargs)
+
+
+def test_fairkm_ignores_backend_and_workers():
+    """The exact engines are serial: a fairkm run spec's backend/workers
+    change no bit of the fit and start no backend."""
+    import numpy as np
+
+    from repro.api import build_estimator, fit
+
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(300, 4))
+    sensitive = {"g": rng.integers(0, 3, 300)}
+    base = RunConfig(method="fairkm", k=3, seed=0, max_iter=6)
+    wide = base.with_overrides(backend="multiprocess", workers=2)
+    assert fit(wide, points, sensitive=sensitive).centers.tobytes() == (
+        fit(base, points, sensitive=sensitive).centers.tobytes()
+    )
+    estimator = build_estimator(wide)
+    result = estimator.fit(points, sensitive=sensitive)
+    reference = build_estimator(base).fit(points, sensitive=sensitive)
+    assert result.labels.tobytes() == reference.labels.tobytes()
+    assert result.objective_history == reference.objective_history
+    assert "backend" not in result.diagnostics
+    assert all("backend" not in s and "workers" not in s for s in result.diagnostics["sweeps"])
 
 
 @pytest.mark.parametrize(

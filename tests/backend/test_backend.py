@@ -173,7 +173,7 @@ def test_runconfig_workers_inherits_n_jobs_alias():
     they also carry a workers value of their own."""
     from repro.api import build_estimator
 
-    legacy = {"method": "fairkm", "engine": "chunked", "k": 3, "n_jobs": 4}
+    legacy = {"method": "minibatch_fairkm", "k": 3, "n_jobs": 4}
     for extra, workers in [({}, 4), ({"workers": None}, 4), ({"workers": 2}, 2)]:
         config = RunConfig.from_json(json.dumps({**legacy, **extra}))
         assert config.workers == workers

@@ -76,9 +76,9 @@ def test_multiprocess_fit_is_bit_identical_to_local(problem):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
 def test_every_registered_method_is_backend_invariant(method, workers):
-    # Engine-family methods route shard scoring through the backend; the
-    # combinatorial baselines never touch it — either way the contract
-    # is the same: the backend spec may not change a single bit.
+    # minibatch_fairkm routes shard scoring through the backend; the
+    # serial exact fairkm engines and the combinatorial baselines never
+    # touch it — either way the backend spec may not change a single bit.
     engine_family = method in ("fairkm", "minibatch_fairkm")
     n = 700 if engine_family else 90
     points, cats, nums = _problem(n, n_values=2)

@@ -17,6 +17,12 @@ def data(rng):
     return points, correlated_attribute(rng, truth, 0.85)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_lambda_rejected(bad):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        ZGYA(2, lambda_=bad)
+
+
 def test_soft_assignments_are_simplex_rows(data):
     points, codes = data
     res = ZGYA(3, seed=0).fit(points, codes)

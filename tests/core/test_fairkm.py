@@ -125,6 +125,23 @@ def test_initial_labels_shape_validated(skewed_data):
         )
 
 
+def test_initial_labels_must_be_integral(skewed_data):
+    points, _, sensitive = skewed_data
+    n = points.shape[0]
+    for initial in ([0.5] * n, [float("nan")] * n):
+        with pytest.raises(ValueError, match="initial labels must be integers"):
+            FairKM(k=2).fit(
+                points, categorical=[CategoricalSpec("s", sensitive)], initial=initial
+            )
+    # Integral floats are labels, exactly as their int spelling.
+    init = np.zeros(n, dtype=int)
+    init[::2] = 1
+    spec = CategoricalSpec("s", sensitive)
+    as_float = FairKM(k=2, seed=0).fit(points, categorical=[spec], initial=init.astype(float))
+    as_int = FairKM(k=2, seed=0).fit(points, categorical=[spec], initial=init)
+    np.testing.assert_array_equal(as_float.labels, as_int.labels)
+
+
 def test_allow_empty_false_keeps_all_clusters(skewed_data):
     points, _, sensitive = skewed_data
     res = FairKM(k=4, seed=1, allow_empty=False, lambda_=1e6).fit(
@@ -163,6 +180,14 @@ def test_config_validation():
         FairKM(k=2, lambda_=-1.0)
     with pytest.raises(ValueError, match="init"):
         FairKM(k=2, init="bogus")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_lambda_and_tol_rejected(bad):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        FairKM(3, lambda_=bad)
+    with pytest.raises(ValueError, match="finite non-negative"):
+        FairKM(3, tol=bad)
 
 
 def test_wrapper_function(skewed_data):

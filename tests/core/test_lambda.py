@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.lambda_heuristic import default_lambda, resolve_lambda
+from repro.core.lambda_heuristic import check_lambda, default_lambda, resolve_lambda
 
 
 def test_paper_adult_setting():
@@ -41,3 +41,11 @@ def test_resolve_rejects_bad_inputs():
         resolve_lambda("automatic", 100, 5)
     with pytest.raises(ValueError, match="non-negative"):
         resolve_lambda(-3, 100, 5)
+
+
+@pytest.mark.parametrize("bad", [*[float("nan"), float("inf"), float("-inf")], -1.0, "automatic", "1.5", None])
+def test_check_lambda_rejects(bad):
+    with pytest.raises(ValueError, match="finite non-negative"):
+        check_lambda(bad)
+    with pytest.raises(ValueError, match="finite non-negative"):
+        resolve_lambda(bad, 100, 5)

@@ -1,10 +1,10 @@
 """Parallel hot paths: worker-pool utilities and sweep exactness.
 
-The contract under test is *bit-identical decisions at every thread
-count*: ``ChunkedSweep(workers=j)`` must reproduce the sequential
-sweep's labels and objective trajectory, sharded mini-batch scoring
-must match the single-threaded mini-batch result, and the scoring-view
-guard must catch mutation during scoring.
+The contract under test is *bit-identical decisions*: the serial
+``ChunkedSweep`` must reproduce the sequential sweep's labels and
+objective trajectory at every chunk size, sharded mini-batch scoring
+must match the single-threaded mini-batch result at every thread
+count, and the scoring-view guard must catch mutation during scoring.
 """
 
 from __future__ import annotations
@@ -122,25 +122,25 @@ def test_frozen_view_detects_resync(small_state):
 # --------------------------------------------------------------------- #
 
 
-def test_make_sweep_threads_workers():
-    assert make_sweep("chunked", workers=4).backend.workers == 4
-    assert make_sweep("chunked").backend.workers == 1
-
-
-def test_make_sweep_rejects_workers_with_instance():
-    with pytest.raises(ValueError, match="workers"):
-        make_sweep(ChunkedSweep(), workers=2)
+def test_exact_engines_take_no_workers_or_backend():
+    """Algorithm 1 decides serially: the exact engines have no scoring
+    pool to size, so the knobs are not accepted at all."""
+    with pytest.raises(TypeError):
+        FairKM(3, workers=2)
+    with pytest.raises(TypeError):
+        FairKM(3, backend="multiprocess")
+    with pytest.raises(TypeError):
+        make_sweep("chunked", workers=2)
+    with pytest.raises(TypeError):
+        ChunkedSweep(workers=2)
+    assert not hasattr(make_sweep("chunked"), "backend")
 
 
 def test_sweep_constructors_validate_workers():
     with pytest.raises(ValueError, match="workers"):
-        ChunkedSweep(workers=0)
-    with pytest.raises(ValueError, match="workers"):
         MiniBatchSweep(workers=-3)
     with pytest.raises(ValueError, match="workers"):
         MiniBatchFairKM(2, workers=0)
-    with pytest.raises(ValueError, match="workers"):
-        FairKM(2, engine="chunked", workers=-2)
 
 
 def test_worker_pool_reuses_executor():
@@ -177,8 +177,8 @@ def parallel_problems(draw):
     k = draw(st.integers(2, 5))
     n_values = draw(st.integers(2, 6))
     lam = draw(st.sampled_from([0.0, 1.0, 100.0, "auto"]))
-    # Small chunks force many windows per sweep, so the prefetch group
-    # scan and its cross-window repair genuinely engage.
+    # Small chunks force many windows per sweep, so the window scan and
+    # its per-move repair genuinely engage.
     chunk_size = draw(st.sampled_from([8, 16, 64]))
     shuffle = draw(st.booleans())
     rng = np.random.default_rng(seed)
@@ -191,24 +191,22 @@ def parallel_problems(draw):
 @given(parallel_problems())
 @settings(max_examples=25, deadline=None)
 def test_parallel_chunked_equals_sequential(problem):
-    """ChunkedSweep(workers=j) is bit-identical to sequential for every j."""
+    """ChunkedSweep is bit-identical to sequential at every chunk size."""
     points, cats, nums, k, lam, chunk_size, shuffle, seed = problem
     seq = FairKM(k, lambda_=lam, shuffle=shuffle, seed=seed, engine="sequential").fit(
         points, categorical=cats, numeric=nums
     )
-    for j in (1, 2, 4):
-        par = FairKM(
-            k,
-            lambda_=lam,
-            shuffle=shuffle,
-            seed=seed,
-            engine="chunked",
-            chunk_size=chunk_size,
-            workers=j,
-        ).fit(points, categorical=cats, numeric=nums)
-        np.testing.assert_array_equal(seq.labels, par.labels)
-        assert seq.moves_per_iter == par.moves_per_iter
-        assert seq.objective_history == par.objective_history
+    par = FairKM(
+        k,
+        lambda_=lam,
+        shuffle=shuffle,
+        seed=seed,
+        engine="chunked",
+        chunk_size=chunk_size,
+    ).fit(points, categorical=cats, numeric=nums)
+    np.testing.assert_array_equal(seq.labels, par.labels)
+    assert seq.moves_per_iter == par.moves_per_iter
+    assert seq.objective_history == par.objective_history
 
 
 @given(parallel_problems())
@@ -253,9 +251,9 @@ def test_result_records_per_sweep_diagnostics():
     rng = np.random.default_rng(5)
     points = np.vstack([rng.normal(0, 1, (400, 4)), rng.normal(5, 1, (400, 4))])
     cats = [CategoricalSpec("c", rng.integers(0, 2, 800), n_values=2)]
-    result = FairKM(
-        3, lambda_=100.0, seed=0, engine="chunked", chunk_size=64, workers=2
-    ).fit(points, categorical=cats)
+    result = FairKM(3, lambda_=100.0, seed=0, engine="chunked", chunk_size=64).fit(
+        points, categorical=cats
+    )
     assert result.diagnostics["engine"] == "chunked"
     sweeps = result.diagnostics["sweeps"]
     assert len(sweeps) == result.n_iter
@@ -271,7 +269,6 @@ def test_result_records_per_sweep_diagnostics():
     assert chunked, "no sweep ran the chunked scan"
     for entry in chunked:
         assert entry["window"] >= 1
-        assert entry["workers"] == 2
         assert entry["repair_s"] >= 0.0
 
 

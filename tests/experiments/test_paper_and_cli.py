@@ -106,6 +106,14 @@ def test_cli_parser_rejects_unknown():
         cli.build_parser().parse_args(["bogus"])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1", "bogus"])
+def test_cli_rejects_non_finite_lambda(capsys, bad):
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(["fit", f"--lambda={bad}"])
+    assert err.value.code == 2
+    assert "finite non-negative" in capsys.readouterr().err
+
+
 def test_cli_chunk_size_uses_parser_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["paper", "table7", "--chunk-size", "0"])
