@@ -4,7 +4,8 @@ These time the inner-loop operations whose complexity §4.3.1 analyses:
 the per-object move-delta evaluation (the optimizer's hot path), the
 dense sweep's fused score-and-move step, the vectorized batch variant
 (fresh windows and repairs of a gathered window's suffix), a cache
-resync, and a full K-Means fit for reference. Useful for catching performance regressions.
+resync (also at the mini-batch benchmark fit's 50,000 x 28 shape), and a
+full K-Means fit for reference. Useful for catching performance regressions.
 """
 
 from __future__ import annotations
@@ -103,6 +104,24 @@ def test_apply_move_roundtrip(benchmark, state):
 def test_resync(benchmark, state):
     """Full cache rebuild from labels (once per iteration in FairKM)."""
     benchmark(state.resync)
+
+
+@pytest.fixture(scope="module")
+def adult_state() -> ClusterState:
+    """The mini-batch benchmark fit's shape: 50,000 rows, d=28, Adult's
+    five attribute cardinalities, k=5."""
+    n = 50_000
+    rng = np.random.default_rng(3)
+    cats = [
+        CategoricalSpec(f"s{v}", rng.integers(0, v, n), n_values=v) for v in (7, 6, 5, 2, 41)
+    ]
+    return ClusterState(rng.normal(size=(n, 28)), rng.integers(0, 5, n), 5, cats, [])
+
+
+def test_resync_adult(benchmark, adult_state):
+    """The mini-batch merge's rebuild, once per batch that moved rows, at
+    a width where reading the points column by column costs."""
+    benchmark(adult_state.resync)
 
 
 def test_kmeans_reference_fit(benchmark):

@@ -33,7 +33,8 @@ class FairKMConfig:
             round-robin; shuffling is the standard bias-avoiding variant.
         resync_every: rebuild the incremental caches from scratch every
             this-many iterations (0 disables; 1 is cheap and keeps float
-            drift at zero).
+            drift at zero). Caches no move has changed since their last
+            rebuild are not rebuilt again.
     """
 
     k: int

@@ -23,13 +23,15 @@ is delegated to a pluggable :class:`SweepStrategy`:
   of any FairKM run — collapse to a handful of vectorized batch calls.
 * :class:`MiniBatchSweep` — the §6.1 approximation: all objects of a
   batch decide against statistics frozen at the batch start, accepted
-  moves are scattered into the labels at once, then the caches are rebuilt.
+  moves are scattered into the labels at once, then the caches are rebuilt
+  (:meth:`~repro.core.state.ClusterState.relabel`).
 
 The engine also fixes a reporting subtlety: ``objective_history``
 entries are recorded *after* the periodic
 :meth:`~repro.core.state.ClusterState.resync`, so reported objectives
 never include accumulated floating-point drift from the incremental
-cache updates.
+cache updates. That rebuild runs only when a move has changed the state
+since the last one; caches that are already fresh are kept.
 """
 
 from __future__ import annotations
@@ -251,7 +253,9 @@ class MiniBatchSweep(SweepStrategy):
     Every object of a batch decides against the statistics frozen at the
     batch start; all accepted moves are applied (decisions may have gone
     stale within the batch — that is the approximation), then the caches
-    are rebuilt once.
+    are rebuilt once (:meth:`ClusterState.relabel`). A batch that moved
+    no row is not rebuilt, and the caches end every sweep fresh, so the
+    engine's end-of-iteration rebuild is skipped.
 
     With ``workers > 1`` the frozen-snapshot scoring of each batch is
     *sharded*: the execution backend scores fixed-size shards of the
@@ -344,8 +348,7 @@ class MiniBatchSweep(SweepStrategy):
                         kept.append(r)
                 movers = np.array(kept, dtype=np.int64)
             if movers.size:
-                state.labels[batch[movers]] = targets[movers]
-                state.resync()
+                state.relabel(batch[movers], targets[movers])
             stats["merge_s"] += time.perf_counter() - t1
             moves += movers.size
         stats["shards"] = self._shards - shards_before
@@ -499,10 +502,13 @@ class OptimizerEngine:
                     }
                 )
                 record_fit_sweep(sweep_stats[-1], engine=self.sweep_strategy.name)
-                if cfg.resync_every and n_iter % cfg.resync_every == 0:
+                stale = state.mutations != state.resynced_at
+                if stale and cfg.resync_every and n_iter % cfg.resync_every == 0:
                     state.resync()
                 # Recorded after the periodic resync: reported objectives
-                # never carry incremental floating-point drift.
+                # never carry incremental floating-point drift. Caches no
+                # move has touched since their last rebuild are already
+                # what a rebuild would give, so they are not rebuilt.
                 objective_history.append(state.objective(lam))
                 if moves == 0:
                     converged = True

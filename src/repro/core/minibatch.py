@@ -40,9 +40,11 @@ class MiniBatchFairKM(FairKM):
     Note on ``resync_every``: the mini-batch scheme rebuilds the cluster
     statistics after every batch that moved objects — that is intrinsic
     to the algorithm and not configurable. ``resync_every`` controls the
-    *additional* end-of-iteration cache rebuild the shared engine
-    performs (the same knob :class:`FairKM` exposes); its default of 1
-    keeps reported objectives free of floating-point drift.
+    end-of-iteration cache rebuild the shared engine performs (the same
+    knob :class:`FairKM` exposes), which runs only when a move changed
+    the state since the last rebuild. A mini-batch sweep always leaves
+    its caches fresh, so that rebuild is skipped and every
+    ``resync_every`` gives byte-identical results.
     """
 
     def __init__(

@@ -50,8 +50,15 @@ window's repairs score suffix views of it. The dense sweep's fused
 
 Floating-point hygiene: thousands of incremental updates accumulate error,
 so :meth:`ClusterState.resync` recomputes every cache from the raw label
-vector (the optimizer calls it once per outer iteration) and
-:meth:`ClusterState.consistency_error` exposes the drift for tests.
+vector and :meth:`ClusterState.consistency_error` exposes the drift for
+tests. The optimizer rebuilds at the end of an outer iteration only when a
+move has changed the state since the last rebuild
+(:attr:`ClusterState.resynced_at`); the mini-batch sweep rebuilds through
+:meth:`ClusterState.relabel` after every batch that moved rows. A rebuild
+sums each column of the points per cluster from a column-major ``(d, n)``
+copy of the points, one n·d float64 array that the first rebuild after
+construction allocates. A state that never rebuilds after construction,
+such as a multiprocess worker's, never holds it.
 """
 
 from __future__ import annotations
@@ -257,6 +264,12 @@ class ClusterState:
         #: Mutation counter: bumped by every apply_move/resync so frozen
         #: scoring views (repro.core.parallel) can detect races.
         self.mutations = 0
+        #: ``mutations`` as the last resync left it: the caches are
+        #: fresh while the two are equal.
+        self.resynced_at = 0
+        # Column-major copy of the points for resync, built by the first
+        # rebuild after construction (see the module docstring).
+        self._columns: np.ndarray | None = None
 
         # Allocated once; filled by resync().
         self.sizes = np.zeros(self.k, dtype=np.int64)
@@ -314,15 +327,20 @@ class ClusterState:
 
     def resync(self) -> None:
         """Recompute every cache from ``self.labels`` (clears float drift)."""
+        if self.mutations and self._columns is None:  # not the constructor's fill
+            self._columns = np.ascontiguousarray(self.points.T)
+        columns = self.points.T if self._columns is None else self._columns
         self.mutations += 1
         labels, k = self.labels, self.k
         # bincount adds each bin's terms in index order, exactly as
         # np.add.at would, so the sums are bit-identical to an
-        # object-by-object accumulation. One column at a time keeps the
-        # temporaries at O(n), never O(n·d).
+        # object-by-object accumulation. A strided column of the C-order
+        # points is copied by bincount on every call; the rows of the
+        # (d, n) copy are read in place. Only that one n·d copy is kept:
+        # the temporaries stay O(n).
         self.sizes = np.bincount(labels, minlength=k)
         for j in range(self.dim):
-            self.sums[:, j] = np.bincount(labels, weights=self.points[:, j], minlength=k)
+            self.sums[:, j] = np.bincount(labels, weights=columns[j], minlength=k)
         self.sum_sqnorm = np.einsum("ij,ij->i", self.sums, self.sums)
         self.sq_total[:] = np.bincount(labels, weights=self.point_sqnorm, minlength=k)
         # Cached float view of sizes; kept exact by the incremental ±1
@@ -349,6 +367,12 @@ class ClusterState:
         self._counts[...] = counts.T
         for num in self._num:
             num.d[:] = np.bincount(labels, weights=num.centered, minlength=k)
+        self.resynced_at = self.mutations
+
+    def relabel(self, rows: np.ndarray, targets: np.ndarray) -> None:
+        """Move objects *rows* to clusters *targets* at once, then resync."""
+        self.labels[rows] = targets
+        self.resync()
 
     def export_scoring_stats(self) -> dict[str, object]:
         """Everything :meth:`batch_move_deltas` reads besides the data.

@@ -114,6 +114,31 @@ def test_result_diagnostics_record_the_backend():
     assert all(s["merge_s"] >= 0.0 for s in sweeps)
 
 
+def test_scoring_worker_holds_no_column_copy(monkeypatch):
+    """resync's column-major copy of the points lives only where caches
+    are rebuilt: a worker state, built as ``_init_worker`` builds it and
+    fed through ``_score_shard``, never allocates one."""
+    from repro.backend import multiprocess
+
+    n, k = 700, 3
+    points, cats, nums = _problem(n)
+    parent = ClusterState(points, np.arange(n) % k, k, cats, nums)
+    worker = ClusterState(points, np.zeros(n, dtype=np.int64), k, cats, nums)
+    monkeypatch.setattr(multiprocess, "_WORKER_STATE", worker)
+    monkeypatch.setattr(multiprocess, "_WORKER_INJECTOR", None)
+    shard = np.arange(100, 400)
+    for _ in range(2):
+        task = (shard, parent.labels[shard], parent.export_scoring_stats(), 2.0)
+        deltas = multiprocess._score_shard(task)
+        assert np.array_equal(deltas, parent.batch_move_deltas(shard, 2.0))
+        parent.relabel(np.array([1, 2]), np.array([2, 0]))
+    assert worker._columns is None
+    assert parent._columns is not None and parent._columns.flags.c_contiguous
+    assert np.array_equal(parent._columns, points.T)
+    # Construction alone never allocates it either.
+    assert ClusterState(points, parent.labels, k, cats, nums)._columns is None
+
+
 # --------------------------------------------------------------------- #
 # Shared-memory lifecycle                                                 #
 # --------------------------------------------------------------------- #

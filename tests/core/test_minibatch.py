@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import CategoricalSpec, FairKM, MiniBatchFairKM, MiniBatchSweep, NumericSpec
 from repro.core.objective import fairkm_objective
+from repro.core.state import ClusterState
 from repro.metrics import categorical_fairness
 from tests.conftest import correlated_attribute, make_blobs
 
@@ -162,3 +163,54 @@ def test_veto_ledger_matches_per_move_merge_when_vetoes_fire(k):
     assert oracle.vetoes > 0
     _assert_same_fit(expected, got)
     assert np.bincount(got.labels, minlength=k).min() >= 1
+
+
+@pytest.mark.parametrize("allow_empty", [True, False])
+@pytest.mark.parametrize("batch_size", [7, 64, 100])  # 240 rows: short last batches
+def test_end_of_sweep_rebuild_changes_no_byte(data, allow_empty, batch_size):
+    """A mini-batch sweep leaves its caches fresh, so the engine's
+    end-of-iteration rebuild (resync_every=1) and none (0) agree byte for
+    byte."""
+    points, sensitive = data
+    spec = CategoricalSpec("s", sensitive)
+    fits = [
+        MiniBatchFairKM(k=3, batch_size=batch_size, resync_every=every,
+                        allow_empty=allow_empty, max_iter=8, seed=2).fit(
+            points, categorical=[spec]
+        )
+        for every in (0, 1)
+    ]
+    a, b = fits
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.centers.tobytes() == b.centers.tobytes()
+    assert np.array(a.objective_history).tobytes() == np.array(b.objective_history).tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [16, 100])
+def test_fit_rebuilds_once_per_batch_that_moved(data, monkeypatch, batch_size):
+    """One rebuild at construction plus one per batch that moved rows:
+    no batch without a move and no end-of-sweep pass rebuilds."""
+    points, sensitive = data
+    spec = CategoricalSpec("s", sensitive)
+    rebuilds: list[np.ndarray] = []
+    batch_starts: list[np.ndarray] = []
+    resync, score = ClusterState.resync, MiniBatchSweep._score_batch
+
+    def counting_resync(self):
+        rebuilds.append(self.labels.copy())
+        resync(self)
+
+    def recording_score(self, state, batch, lam):
+        batch_starts.append(state.labels.copy())
+        return score(self, state, batch, lam)
+
+    monkeypatch.setattr(ClusterState, "resync", counting_resync)
+    monkeypatch.setattr(MiniBatchSweep, "_score_batch", recording_score)
+    res = MiniBatchFairKM(k=3, batch_size=batch_size, max_iter=6, seed=4).fit(
+        points, categorical=[spec]
+    )
+    snapshots = [*batch_starts, res.labels]
+    moved = sum(not np.array_equal(a, b) for a, b in zip(snapshots, snapshots[1:]))
+    assert moved > 0
+    assert len(batch_starts) > moved  # some batches moved nothing
+    assert len(rebuilds) == 1 + moved

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CategoricalSpec, NumericSpec
+from repro.core import CategoricalSpec, FairKM, NumericSpec
 from repro.core.objective import fairkm_objective, fairness_term, kmeans_term
 from repro.core.state import ClusterState
 from tests.conftest import random_specs
@@ -235,6 +235,49 @@ def test_resync_equals_add_at_rebuild_bitwise(seed, n, k, dim):
     for mine, theirs in zip(stats["num_d"], oracle["num_d"]):
         assert np.array_equal(mine, theirs)
     assert state.consistency_error() == 0.0
+
+
+def test_relabel_equals_label_write_and_resync():
+    """relabel is the batch scatter plus one rebuild, and leaves the
+    caches fresh; a move makes them stale until the next rebuild."""
+    state, _ = build_state(4, n=40)
+    twin, _ = build_state(4, n=40)
+    assert state.resynced_at == state.mutations
+    rows, targets = np.array([3, 9, 17]), np.array([2, 0, 1])
+    state.relabel(rows, targets)
+    twin.labels[rows] = targets
+    twin.resync()
+    assert state.resynced_at == state.mutations
+    assert np.array_equal(state.labels, twin.labels)
+    assert np.array_equal(state.sums, twin.sums)
+    assert np.array_equal(state.export_scoring_stats()["counts"],
+                          twin.export_scoring_stats()["counts"])
+    assert state.consistency_error() == 0.0
+    state.apply_move(5, (int(state.labels[5]) + 1) % state.k)
+    assert state.resynced_at != state.mutations
+
+
+@pytest.mark.parametrize("engine", ["chunked", "sequential"])
+def test_exact_fit_rebuilds_after_every_sweep_that_moved(monkeypatch, engine):
+    """One rebuild at construction, one per sweep that moved rows; the
+    converged sweep moved nothing and its caches are not rebuilt."""
+    rng = np.random.default_rng(21)
+    n = 300
+    points = rng.normal(size=(n, 4))
+    cats, nums = random_specs(rng, n)
+    calls: list[int] = []
+    resync = ClusterState.resync
+
+    def counting(self):
+        calls.append(self.mutations)
+        resync(self)
+
+    monkeypatch.setattr(ClusterState, "resync", counting)
+    res = FairKM(4, seed=3, engine=engine, max_iter=50).fit(
+        points, categorical=cats, numeric=nums
+    )
+    assert res.converged and res.moves_per_iter[-1] == 0
+    assert len(calls) == 1 + sum(moves > 0 for moves in res.moves_per_iter)
 
 
 def test_centroids_global_mean_for_empty():
