@@ -1,4 +1,4 @@
-"""Distributed training: the same fit on threads and on processes.
+"""Distributed training: the same fit in process and on worker processes.
 
 FairKM's objective decomposes into additive per-cluster sufficient
 statistics, so shard scoring can run anywhere — the pluggable backend

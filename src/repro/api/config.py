@@ -45,17 +45,18 @@ class RunConfig:
         chunk_size: chunk size of the chunked engine; doubles as the
             ``minibatch_fairkm`` batch size. ``None`` keeps the default.
         backend: execution backend of ``minibatch_fairkm``'s shard
-            scoring (one of :data:`BACKENDS`; every other method,
-            ``fairkm`` included, ignores it): ``"local"`` scores in a
-            thread pool (default), ``"multiprocess"`` in worker
-            processes over one shared-memory data placement
-            (bit-identical results at every worker count). A
+            scoring (one of :data:`BACKENDS`): ``"local"`` scores
+            serially in this process (default), ``"multiprocess"`` in
+            worker processes over one shared-memory data placement
+            (bit-identical results at every worker count). Every other
+            method runs serially and refuses a non-default value. A
             host-execution knob, not persisted by ``ClusterModel.save``.
-        workers: worker count for *backend* — an integer
-            >= 1 (default 1, serial), -1 or ``"auto"`` (one per usable
-            CPU, honoring the ``REPRO_CORE_BUDGET`` env cap). Results
-            are bit-identical for every value — the knob only trades
-            wall-clock. Not persisted by ``ClusterModel.save``.
+        workers: number of ``"multiprocess"`` worker processes — an
+            integer >= 1, -1 or ``"auto"`` (one per usable CPU,
+            honoring the ``REPRO_CORE_BUDGET`` env cap). The default 1
+            is the only value ``"local"`` and the other methods take.
+            Results are bit-identical for every value — the knob only
+            trades wall-clock. Not persisted by ``ClusterModel.save``.
         seed: RNG seed (one fit is fully deterministic given the seed).
         scale_features: z-score numeric features when fitting from a
             ``Dataset`` (True for Adult; False for embedding spaces).
@@ -106,6 +107,16 @@ class RunConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         object.__setattr__(self, "workers", validate_workers(self.workers))
+        if self.method != "minibatch_fairkm" and (self.backend != "local" or self.workers != 1):
+            raise ValueError(
+                "backend and workers configure only method='minibatch_fairkm'; "
+                f"{self.method!r} runs serially, got backend={self.backend!r}, "
+                f"workers={self.workers!r}"
+            )
+        if self.backend == "local" and self.workers != 1:
+            from ..backend import LOCAL_WORKERS_REMOVED
+
+            raise ValueError(f"{LOCAL_WORKERS_REMOVED} (got workers={self.workers!r})")
         if self.sensitive is not None:
             object.__setattr__(self, "sensitive", tuple(str(s) for s in self.sensitive))
 

@@ -1,17 +1,17 @@
 """Pluggable training execution backends.
 
-Where a fit's shard scoring runs: the in-process thread pool
-(:class:`LocalBackend`, the default — zero behavior change), a process
-pool over one shared-memory data placement
-(:class:`MultiprocessBackend` — bit-identical to local at every worker
-count). See ``docs/architecture.md`` ("Training backends") and
-:func:`make_backend` for the string spec the API layer exposes as
+Where a fit's shard scoring runs: serially in the calling process
+(:class:`LocalBackend`, the default, one worker), or in a process pool
+over one shared-memory data placement (:class:`MultiprocessBackend` —
+bit-identical to local at every worker count). See
+``docs/architecture.md`` ("Training backends") and :func:`make_backend`
+for the string spec the API layer exposes as
 ``RunConfig(backend=..., workers=...)``.
 """
 
 from __future__ import annotations
 
-from .base import Backend, BackendError, LocalBackend
+from .base import LOCAL_WORKERS_REMOVED, Backend, BackendError, LocalBackend
 from .multiprocess import MultiprocessBackend
 
 #: Valid ``backend=`` spec strings, in registry order.
@@ -34,9 +34,10 @@ def make_backend(
 ) -> Backend:
     """Resolve a backend spec string (or pass an instance through).
 
-    ``None`` means the default (``"local"``). *workers* follows the
-    shared worker-count domain (int >= 1, -1, or ``"auto"``) and is
-    rejected when *spec* is already a constructed instance.
+    ``None`` means the default (``"local"``). *workers* counts the
+    ``"multiprocess"`` worker processes (int >= 1, -1, or ``"auto"``);
+    ``"local"`` takes only 1. It is rejected when *spec* is already a
+    constructed instance.
     """
     if isinstance(spec, Backend):
         if workers is not None:

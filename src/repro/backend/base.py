@@ -6,7 +6,8 @@ computes the per-shard move-delta statistics and how do the pieces come
 back together? The FairKM objective decomposes into additive per-cluster
 sufficient statistics, so a shard's deltas depend only on (static data,
 frozen stats, shard rows) — which is exactly what lets the same sweep
-code run on a thread pool or on a process pool over shared memory.
+code score shards in the calling process or in worker processes over
+shared memory.
 
 The protocol keeps the repo's standing correctness bar structural:
 
@@ -26,7 +27,13 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.parallel import FrozenScoringView, WorkerPool, resolve_workers
+from ..core.parallel import resolve_workers, validate_workers
+
+#: The error for a local backend asked for more than one worker.
+LOCAL_WORKERS_REMOVED = (
+    "the local backend's thread pool was removed: it scores in the calling "
+    "process; use backend='multiprocess' for more than one worker"
+)
 
 
 class BackendError(RuntimeError):
@@ -98,25 +105,22 @@ class Backend:
 
 
 class LocalBackend(Backend):
-    """Today's thread pool behind the backend protocol (the default).
+    """Score shards serially in the calling process (the default).
 
-    Wraps :class:`~repro.core.parallel.WorkerPool` and scores through a
-    :class:`~repro.core.parallel.FrozenScoringView`, i.e. byte for byte
-    the dispatch the sweeps did before backends existed. ``start`` and
-    ``shutdown`` are no-ops — the pool is lazy, serial owners never
-    spawn a thread, and it is reused across fits like the sweeps'
-    pools always were.
+    ``start`` and ``shutdown`` are no-ops: there is no data to place
+    and nothing to release. Its one worker is the calling process;
+    more workers take :class:`~repro.backend.MultiprocessBackend`.
     """
 
     name = "local"
 
     def __init__(self, workers: int | str | None = None) -> None:
-        super().__init__(workers)
-        self._pool = WorkerPool(self.workers)
+        if validate_workers(workers) != 1:
+            raise ValueError(f"{LOCAL_WORKERS_REMOVED} (got workers={workers!r})")
+        super().__init__()
 
     def map_score(
         self, state: Any, shards: Sequence[np.ndarray], lambda_: float
     ) -> list[np.ndarray]:
-        view = FrozenScoringView(state)
         lam = float(lambda_)
-        return self._pool.map(lambda sl: view.batch_move_deltas(sl, lam), shards)
+        return [state.batch_move_deltas(shard, lam) for shard in shards]

@@ -42,10 +42,6 @@ from .base import Backend, BackendError
 #: Shared-memory segment name prefix (lifecycle tests scan for leaks).
 SEGMENT_PREFIX = "repro_bk"
 
-#: Environment override for the multiprocessing start method
-#: (``fork`` where available is much cheaper than ``spawn``).
-START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
 # Worker-process globals, set once by _init_worker.
 _WORKER_STATE: Any = None
 _WORKER_SEGMENTS: list[shared_memory.SharedMemory] = []
@@ -53,11 +49,10 @@ _WORKER_INJECTOR: Any = False  # False = not yet resolved; None = no plan
 
 
 def _pick_context():
+    """``fork`` where available (much cheaper than ``spawn``), else ``spawn``."""
     import multiprocessing
 
-    method = os.environ.get(START_METHOD_ENV)
-    if not method:
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return get_context(method)
 
 

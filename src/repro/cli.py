@@ -141,14 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
-        help="minibatch_fairkm shard-scoring backend: 'local' (thread pool, "
-        "default), 'multiprocess' (worker processes over shared memory; "
-        "bit-identical results); other methods ignore it",
+        help="minibatch_fairkm shard-scoring backend: 'local' (serial, in "
+        "this process; default), 'multiprocess' (worker processes over "
+        "shared memory; bit-identical results); other methods refuse it",
     )
     p_fit.add_argument(
         "--workers", type=workers_value, default=None,
-        help="worker count for --backend (default 1; -1 or 'auto' = one "
-        "per usable CPU; results are identical for every value)",
+        help="worker processes for --backend multiprocess (default 1; -1 or "
+        "'auto' = one per usable CPU; results are identical for every "
+        "value); local and other methods take only 1",
     )
     p_fit.add_argument("--max-iter", type=positive_int, default=None)
     p_fit.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
@@ -623,19 +624,23 @@ def _cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.sensitive
         else None
     )
-    config = base.with_overrides(
-        method=args.method,
-        k=args.k,
-        lambda_=args.lambda_,
-        engine=args.engine,
-        chunk_size=args.chunk_size,
-        backend=args.backend,
-        workers=args.workers,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        scale_features=False if args.no_scale else None,
-        sensitive=sensitive_names,
-    )
+    try:
+        config = base.with_overrides(
+            method=args.method,
+            k=args.k,
+            lambda_=args.lambda_,
+            engine=args.engine,
+            chunk_size=args.chunk_size,
+            backend=args.backend,
+            workers=args.workers,
+            max_iter=args.max_iter,
+            seed=args.seed,
+            scale_features=False if args.no_scale else None,
+            sensitive=sensitive_names,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+        raise AssertionError("unreachable")
     data, sensitive = _resolve_fit_inputs(args, parser, config)
     if args.metrics_out is not None:
         # The engine publishes per-sweep diagnostics into the process

@@ -46,7 +46,7 @@ from .objective import (
     kmeans_term,
     numeric_deviation,
 )
-from .parallel import FrozenScoringView, WorkerPool
+from .parallel import WorkerPool
 from .protocol import ClusteringEstimator, EstimatorMixin, NotFittedError
 from .state import ClusterState
 
@@ -60,7 +60,6 @@ __all__ = [
     "FairKM",
     "FairKMConfig",
     "FairKMResult",
-    "FrozenScoringView",
     "MiniBatchFairKM",
     "MiniBatchSweep",
     "NotFittedError",

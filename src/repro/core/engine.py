@@ -45,7 +45,6 @@ from ..obs.metrics import record_fit_sweep
 from .attributes import CategoricalSpec, NumericSpec
 from .config import FairKMConfig, FairKMResult
 from .lambda_heuristic import resolve_lambda
-from .parallel import resolve_workers
 from .state import ClusterState, RowBlock
 
 
@@ -257,39 +256,38 @@ class MiniBatchSweep(SweepStrategy):
     no row is not rebuilt, and the caches end every sweep fresh, so the
     engine's end-of-iteration rebuild is skipped.
 
-    With ``workers > 1`` the frozen-snapshot scoring of each batch is
-    *sharded*: the execution backend scores fixed-size shards of the
-    batch concurrently against the frozen statistics (threads by
-    default; worker processes over a shared-memory data placement with
-    ``backend="multiprocess"``), the shard deltas are stacked back in
-    visit order, and the accepted moves are merged by one label scatter
-    and the batch's single resync, which rebuilds every cache from the
-    labels. The ``allow_empty=False`` veto replays the moves in visit
-    order on an integer size ledger, so the decisions equal those of a
-    one-move-at-a-time merge. Shard boundaries depend only on the batch
-    size, never on the worker count or backend.
+    A batch wider than one shard is scored in fixed-size shards by the
+    execution backend against the frozen statistics: serially in this
+    process by default, or in ``workers`` worker processes over a
+    shared-memory data placement with ``backend="multiprocess"``. The
+    shard deltas are stacked back in visit order, and the accepted moves
+    are merged by one label scatter and the batch's single resync, which
+    rebuilds every cache from the labels. The ``allow_empty=False`` veto
+    replays the moves in visit order on an integer size ledger, so the
+    decisions equal those of a one-move-at-a-time merge. Shard
+    boundaries depend only on the batch size, never on the worker count
+    or backend.
     """
 
     name = "minibatch"
 
     #: Minimum rows per scoring shard; below this the per-task overhead
-    #: outweighs the GIL-released GEMM work.
+    #: outweighs the GEMM work.
     MIN_SHARD = 512
     #: Maximum shards per batch (bounds per-batch task overhead).
     MAX_SHARDS = 8
 
     def __init__(
-        self, batch_size: int = 256, workers: int | str | None = 1, backend=None
+        self, batch_size: int = 256, workers: int | str | None = None, backend=None
     ) -> None:
         super().__init__()
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.batch_size = int(batch_size)
         # Imported lazily: ``repro.backend`` depends on ``repro.core``.
-        from ..backend import Backend, make_backend
+        from ..backend import make_backend
 
-        workers = resolve_workers(workers)
-        self.backend = backend if isinstance(backend, Backend) else make_backend(backend, workers)
+        self.backend = make_backend(backend, workers)
         self._shards = 0
 
     def reset(self) -> None:

@@ -31,11 +31,14 @@ class MiniBatchFairKM(FairKM):
 
     Accepts the hyper-parameters of :class:`FairKM` except ``engine``
     and ``chunk_size``, plus ``batch_size`` and the shard-scoring
-    execution spec: ``backend`` (``"local"`` thread pool, the default;
-    ``"multiprocess"``; or a :class:`repro.backend.Backend` instance)
-    and ``workers`` (``None``/1 serial, -1 or ``"auto"`` one per usable
-    CPU). Results are identical for every backend and worker count.
-    See the module docstring for semantics.
+    execution spec: ``backend`` (``"local"``, serial in this process,
+    the default; ``"multiprocess"``; or a
+    :class:`repro.backend.Backend` instance) and ``workers``, the
+    number of ``"multiprocess"`` worker processes (an integer >= 1, -1
+    or ``"auto"`` for one per usable CPU; ``"local"`` takes only
+    ``None``/1; a ``Backend`` instance carries its own, so ``workers``
+    stays unset). Results are identical for every backend and worker
+    count. See the module docstring for semantics.
 
     Note on ``resync_every``: the mini-batch scheme rebuilds the cluster
     statistics after every batch that moved objects — that is intrinsic

@@ -1,38 +1,19 @@
-"""Shared thread-pool utilities for the parallel hot paths.
+"""Worker-count helpers and the ``Assigner``'s thread pool.
 
-Every parallel section in this repo — the mini-batch sweep's shard
-scoring and the ``Assigner``'s chunk fan-out — has the same shape: a
-list of independent NumPy-heavy tasks whose results must come back *in
-submission order*, executed against statistics that nothing mutates
-while the tasks run. Threads are the right vehicle because the work is
-dominated by NumPy GEMMs and reductions, which release the GIL;
-processes would pay serialization for no gain.
-
-Two invariants this module enforces:
-
-* **Determinism** — :meth:`WorkerPool.map` returns results in task order
-  regardless of completion order or worker count, so a parallel caller
-  computes exactly the arrays a serial caller would (the *partitioning*
-  of work into tasks is the caller's job and must not depend on the
-  worker count; see :class:`repro.core.engine.MiniBatchSweep`).
-* **Frozen reads** — :class:`FrozenScoringView` wraps a
-  :class:`~repro.core.state.ClusterState` for the scoring side and
-  verifies on every call that the state has not been mutated since the
-  view was taken (via the state's mutation counter), turning a
-  score-during-repair race into a loud error instead of silent
-  corruption.
+Every worker-count knob in the repo (the multiprocess training
+backend's process count, the ``Assigner``'s chunk fan-out, the CLI's
+``--workers``) shares one domain, checked by :func:`validate_workers`
+and resolved by :func:`resolve_workers`. :class:`WorkerPool` runs the
+``Assigner``'s chunk writers, which fill disjoint slices of one output
+array with GIL-releasing NumPy work, so the result does not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Any, Callable, Iterable
 
 
 #: Environment variable capping ``"auto"``/``-1`` worker resolution.
@@ -83,7 +64,7 @@ def validate_workers(value: int | str | None, *, field: str = "workers") -> int 
 
     The single definition of the domain — an integral count >= 1, -1
     or ``"auto"`` (both: one worker per usable CPU) — shared by the
-    sweeps, the backends, the ``Assigner`` and the CLI. ``None``
+    training backends, the ``Assigner`` and the CLI. ``None``
     normalizes to 1 (serial). Error messages name *field* so config
     validation points at the offending key.
     """
@@ -116,13 +97,11 @@ def resolve_workers(value: int | str | None) -> int:
 class WorkerPool:
     """A reusable thread pool bound to one worker count.
 
-    The hot loops dispatch one small task group per batch / request,
-    thousands of times per fit — creating and joining a fresh executor
-    each round would pay thread spawn on every one.
-    The pool therefore creates its executor lazily on the first
-    genuinely parallel dispatch and keeps it for the owner's lifetime
-    (sweep strategies and ``Assigner`` instances each own one);
-    ``workers <= 1`` owners never start a thread.
+    An ``Assigner`` dispatches one small task group per request —
+    creating and joining a fresh executor each time would pay thread
+    spawn on every one. The pool therefore creates its executor lazily
+    on the first genuinely parallel dispatch and keeps it for the
+    owner's lifetime; ``workers <= 1`` owners never start a thread.
 
     Serial fallbacks (one worker, or fewer than two tasks) run inline
     on the calling thread, so callers use one code path for both modes.
@@ -139,15 +118,6 @@ class WorkerPool:
         if self._executor is None:
             self._executor = ThreadPoolExecutor(max_workers=self.workers)
         return self._executor
-
-    def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        """Apply *fn* to every task, results in task order.
-
-        The first worker exception propagates.
-        """
-        if self.workers <= 1 or len(tasks) < 2:
-            return [fn(task) for task in tasks]
-        return list(self._pool().map(fn, tasks))
 
     def run(self, thunks: Iterable[Callable[[], Any]]) -> None:
         """Execute independent no-result thunks (e.g. slice writers).
@@ -173,33 +143,3 @@ class WorkerPool:
     def __del__(self) -> None:  # pragma: no cover - gc timing
         self.shutdown()
 
-
-class FrozenScoringView:
-    """Read-only scoring facade over a :class:`ClusterState` snapshot.
-
-    The parallel sweeps score windows/shards against statistics that
-    are *frozen by protocol*: no move is applied while scoring tasks
-    are in flight. This view makes the protocol checkable — it captures
-    the state's mutation counter at construction and re-validates it on
-    every scoring call, so a future refactor that interleaves mutation
-    with scoring fails immediately instead of producing subtly wrong
-    deltas.
-    """
-
-    __slots__ = ("_state", "_mutations")
-
-    def __init__(self, state: Any) -> None:
-        self._state = state
-        self._mutations = state.mutations
-
-    def _check(self) -> None:
-        if self._state.mutations != self._mutations:
-            raise RuntimeError(
-                "ClusterState was mutated while a FrozenScoringView was "
-                "scoring against it; scoring and moves must not overlap"
-            )
-
-    def batch_move_deltas(self, indices: np.ndarray, lambda_: float) -> np.ndarray:
-        """Frozen :meth:`ClusterState.batch_move_deltas`."""
-        self._check()
-        return self._state.batch_move_deltas(indices, lambda_)

@@ -48,7 +48,7 @@ speed, are measured by the repository benchmark under ``perfbench/``):
   mini-batch FairKM fit per worker count through the
   :class:`~repro.backend.MultiprocessBackend` (data placed in shared
   memory once, shard stats scored in worker processes), next to the
-  same fit through the default thread-pool
+  same fit through the default in-process
   :class:`~repro.backend.LocalBackend` — so ``BENCH_backend.json``
   quantifies what worker *processes* buy over in-process scoring, at
   bit-identical labels. Records carry the host ``cpu_count`` so the
@@ -588,7 +588,7 @@ def bench_backend(
     Per size *n*, one large-batch mini-batch FairKM fit on the standard
     Adult-shaped workload through each backend:
 
-    * ``backend_local_fit``        — the default thread-pool
+    * ``backend_local_fit``        — the default in-process
       :class:`~repro.backend.LocalBackend` at jobs=1 (the
       single-process baseline the gate measures against);
     * ``backend_multiprocess_fit`` — the same fit through the

@@ -101,7 +101,10 @@ def test_model_assigns_at_width_one(data, tmp_path):
     from repro.api import fit
 
     points, sensitive, probe = data
-    config = RunConfig(method="fairkm", k=K, seed=0, max_iter=10, workers=2)
+    config = RunConfig(
+        method="minibatch_fairkm", k=K, seed=0, max_iter=10,
+        backend="multiprocess", workers=2,
+    )
     model = fit(config, points, sensitive=sensitive)
     assert model.config.workers == 2  # training width only
     path = model.save(tmp_path / "m")
@@ -117,11 +120,12 @@ def test_model_assigns_at_width_one(data, tmp_path):
 def test_run_config_n_jobs_round_trip():
     """A config written with the retired n_jobs key loads onto workers
     and round-trips under the one name."""
-    config = RunConfig.from_dict({"n_jobs": 4})
-    assert config == RunConfig(workers=4)
+    mp = {"method": "minibatch_fairkm", "backend": "multiprocess"}
+    config = RunConfig.from_dict({**mp, "n_jobs": 4})
+    assert config == RunConfig(**mp, workers=4)
     assert "n_jobs" not in config.to_dict()
     assert RunConfig.from_json(config.to_json()) == config
-    assert RunConfig.from_dict({"n_jobs": -1}).workers == -1
+    assert RunConfig.from_dict({**mp, "n_jobs": -1}).workers == -1
     with pytest.raises(ValueError, match="workers"):
         RunConfig.from_dict({"n_jobs": 0})
     with pytest.raises(ValueError, match="workers"):

@@ -40,26 +40,33 @@ def test_validation(kwargs, match):
         RunConfig(**kwargs)
 
 
-def test_fairkm_ignores_backend_and_workers():
-    """The exact engines are serial: a fairkm run spec's backend/workers
-    change no bit of the fit and start no backend."""
+def test_fairkm_refuses_backend_and_workers(capsys):
+    """The exact engines are serial: only minibatch_fairkm has shard
+    scoring to place, so every other method refuses a non-default
+    backend or worker count instead of silently ignoring it."""
     import numpy as np
 
-    from repro.api import build_estimator, fit
+    from repro import cli
+    from repro.api import build_estimator
+
+    for method in ("fairkm", "kmeans"):
+        for spec in ({"backend": "multiprocess"}, {"workers": 2}, {"workers": "auto"}):
+            with pytest.raises(ValueError, match="only method='minibatch_fairkm'"):
+                RunConfig(method=method, **spec)
+            with pytest.raises(ValueError, match="only method='minibatch_fairkm'"):
+                RunConfig.from_dict({"method": method, **spec})
+    with pytest.raises(ValueError, match="only method='minibatch_fairkm'"):
+        RunConfig(method="fairkm").with_overrides(workers=2)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["fit", "--method", "fairkm", "--workers", "4"])
+    assert err.value.code == 2
+    assert "only method='minibatch_fairkm'" in capsys.readouterr().err
 
     rng = np.random.default_rng(0)
     points = rng.normal(size=(300, 4))
     sensitive = {"g": rng.integers(0, 3, 300)}
-    base = RunConfig(method="fairkm", k=3, seed=0, max_iter=6)
-    wide = base.with_overrides(backend="multiprocess", workers=2)
-    assert fit(wide, points, sensitive=sensitive).centers.tobytes() == (
-        fit(base, points, sensitive=sensitive).centers.tobytes()
-    )
-    estimator = build_estimator(wide)
-    result = estimator.fit(points, sensitive=sensitive)
-    reference = build_estimator(base).fit(points, sensitive=sensitive)
-    assert result.labels.tobytes() == reference.labels.tobytes()
-    assert result.objective_history == reference.objective_history
+    config = RunConfig(method="fairkm", k=3, seed=0, max_iter=6, backend="local", workers=1)
+    result = build_estimator(config).fit(points, sensitive=sensitive)
     assert "backend" not in result.diagnostics
     assert all("backend" not in s and "workers" not in s for s in result.diagnostics["sweeps"])
 
@@ -87,7 +94,10 @@ def test_counts_must_be_integral(field, value):
 
 
 def test_integral_floats_are_stored_as_ints():
-    config = RunConfig(k=4.0, max_iter=7.0, chunk_size=64.0, seed=3.0, workers=2.0)
+    config = RunConfig(
+        method="minibatch_fairkm", backend="multiprocess",
+        k=4.0, max_iter=7.0, chunk_size=64.0, seed=3.0, workers=2.0,
+    )
     assert (config.k, config.max_iter, config.chunk_size, config.seed, config.workers) == (
         4, 7, 64, 3, 2,
     )

@@ -103,11 +103,12 @@ def test_make_backend_resolves_every_registered_name():
     assert isinstance(make_backend("multiprocess"), MultiprocessBackend)
     with pytest.raises(ValueError, match="remote training backend was removed.*'local' or"):
         make_backend("remote")
-    assert make_backend("local", 3).workers == 3
+    assert make_backend("local", 1).workers == 1
+    assert make_backend("multiprocess", 3).workers == 3
 
 
 def test_make_backend_passes_instances_through():
-    backend = LocalBackend(2)
+    backend = MultiprocessBackend(2)
     assert make_backend(backend) is backend
     with pytest.raises(ValueError, match="constructed Backend instance"):
         make_backend(backend, workers=4)
@@ -141,14 +142,32 @@ def test_merge_stats_preserves_shard_order():
 
 def test_local_backend_matches_direct_scoring():
     state = _state()
-    backend = LocalBackend(2)
+    backend = LocalBackend()
     shards = backend.shard(np.arange(state.n), 32)
     lam = 10.0
     parts = backend.map_score(state, shards, lam)
     merged = backend.merge_stats(parts)
     direct = state.batch_move_deltas(np.arange(state.n), lam)
     assert np.array_equal(merged, direct)
-    assert backend.describe() == {"name": "local", "workers": 2}
+    assert backend.describe() == {"name": "local", "workers": 1}
+
+
+def test_local_backend_refuses_more_than_one_worker(capsys):
+    """Local scoring is serial: asking it for more workers names the
+    removed thread pool and points at the multiprocess backend."""
+    from repro import cli
+
+    match = "thread pool was removed.*backend='multiprocess'"
+    with pytest.raises(ValueError, match=match):
+        make_backend("local", 2)
+    with pytest.raises(ValueError, match=match):
+        MiniBatchFairKM(3, workers=2)
+    with pytest.raises(ValueError, match=match):
+        RunConfig(method="minibatch_fairkm", workers="auto")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--method", "minibatch_fairkm", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "thread pool was removed" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -157,9 +176,10 @@ def test_local_backend_matches_direct_scoring():
 
 
 def test_runconfig_validates_backend_and_workers():
-    cfg = RunConfig(backend="multiprocess", workers=2)
+    mp = {"method": "minibatch_fairkm", "backend": "multiprocess"}
+    cfg = RunConfig(**mp, workers=2)
     assert cfg.backend == "multiprocess" and cfg.workers == 2
-    assert RunConfig(workers="auto").workers == "auto"
+    assert RunConfig(**mp, workers="auto").workers == "auto"
     with pytest.raises(ValueError, match="backend"):
         RunConfig(backend="gpu")
     with pytest.raises(ValueError, match="workers"):
@@ -173,7 +193,7 @@ def test_runconfig_workers_inherits_n_jobs_alias():
     they also carry a workers value of their own."""
     from repro.api import build_estimator
 
-    legacy = {"method": "minibatch_fairkm", "k": 3, "n_jobs": 4}
+    legacy = {"method": "minibatch_fairkm", "backend": "multiprocess", "k": 3, "n_jobs": 4}
     for extra, workers in [({}, 4), ({"workers": None}, 4), ({"workers": 2}, 2)]:
         config = RunConfig.from_json(json.dumps({**legacy, **extra}))
         assert config.workers == workers
@@ -184,7 +204,7 @@ def test_runconfig_workers_inherits_n_jobs_alias():
 
 
 def test_runconfig_round_trips_the_execution_spec():
-    cfg = RunConfig(backend="multiprocess", workers="auto")
+    cfg = RunConfig(method="minibatch_fairkm", backend="multiprocess", workers="auto")
     assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
@@ -198,13 +218,13 @@ def test_old_configs_without_execution_spec_still_load():
 
 
 def test_saved_artifacts_drop_host_execution_knobs(tmp_path):
-    cfg = RunConfig(method="kmeans", k=3, backend="multiprocess", workers=2)
+    cfg = RunConfig(method="minibatch_fairkm", k=3, backend="multiprocess", workers=2)
     model = ClusterModel(np.eye(3), cfg)
     loaded = ClusterModel.load(model.save(tmp_path / "artifact"))
     assert loaded.config.backend == "local"
     assert loaded.config.workers == 1
     # Everything that *is* model identity survives.
-    assert loaded.config.method == "kmeans" and loaded.config.k == 3
+    assert loaded.config.method == "minibatch_fairkm" and loaded.config.k == 3
 
 
 def test_fit_facade_threads_the_backend_through(tmp_path):

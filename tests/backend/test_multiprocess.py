@@ -2,7 +2,7 @@
 
 The backend's correctness bar is structural — shard partition and merge
 order never depend on the worker count — so every test here compares
-whole fits (labels *and* centers) against the local thread-pool run
+whole fits (labels *and* centers) against the in-process local run
 with ``np.array_equal``, not ``allclose``.
 """
 
@@ -76,20 +76,17 @@ def test_multiprocess_fit_is_bit_identical_to_local(problem):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
 def test_every_registered_method_is_backend_invariant(method, workers):
-    # minibatch_fairkm routes shard scoring through the backend; the
-    # serial exact fairkm engines and the combinatorial baselines never
-    # touch it — either way the backend spec may not change a single bit.
-    engine_family = method in ("fairkm", "minibatch_fairkm")
-    n = 700 if engine_family else 90
-    points, cats, nums = _problem(n, n_values=2)
-    # Categorical only: bera constrains categorical attributes and the
-    # per-attribute baselines filter by kind anyway.
-    sensitive = {"g": cats[0].codes}
+    # minibatch_fairkm routes shard scoring through the backend, which
+    # may not change a single bit; every other method runs serially and
+    # refuses a backend spec it would ignore.
     base_cfg = RunConfig(method=method, k=3, seed=0, max_iter=5)
-    if method == "minibatch_fairkm":
-        base_cfg = base_cfg.with_overrides(chunk_size=600)
-    elif method == "fairkm":
-        base_cfg = base_cfg.with_overrides(engine="chunked")
+    if method != "minibatch_fairkm":
+        with pytest.raises(ValueError, match="only method='minibatch_fairkm'"):
+            base_cfg.with_overrides(backend="multiprocess", workers=workers)
+        return
+    points, cats, nums = _problem(700, n_values=2)
+    sensitive = {"g": cats[0].codes}
+    base_cfg = base_cfg.with_overrides(chunk_size=600)
     local = fit(base_cfg, points, sensitive=sensitive)
     mp = fit(
         base_cfg.with_overrides(backend="multiprocess", workers=workers),
