@@ -1,9 +1,10 @@
 """Pluggable training execution backends.
 
 Where a fit's shard scoring runs: serially in the calling process
-(:class:`LocalBackend`, the default, one worker), or in a process pool
-over one shared-memory data placement (:class:`MultiprocessBackend` —
-bit-identical to local at every worker count). See
+(:class:`LocalBackend`, the default, one worker), or in persistent
+worker processes fed by pipes over one shared-memory data placement
+(:class:`MultiprocessBackend` — bit-identical to local at every worker
+count). See
 ``docs/architecture.md`` ("Training backends") and :func:`make_backend`
 for the string spec the API layer exposes as
 ``RunConfig(backend=..., workers=...)``.

@@ -3,14 +3,23 @@
 The fit's static data — the point matrix, every categorical code
 vector, every (already standardized) numeric value vector — is written
 into ``multiprocessing.shared_memory`` segments **once** per fit by
-:meth:`MultiprocessBackend.start`. Each worker process attaches the
-segments in its initializer, rebuilds genuine attribute specs on top of
-the zero-copy views, and constructs one real
-:class:`~repro.core.state.ClusterState` over them. Per scoring round
-only the small additive statistics travel (``export_scoring_stats`` —
-O(k·(d+v)) floats), plus the shard's indices and labels; the deltas
-come back through the executor **in submission order**, so the merge is
-deterministic no matter which worker ran which shard.
+:meth:`MultiprocessBackend.start`, next to three input/output segments
+sized for the whole dataset: a batch's row indices, their labels and
+their ``(rows, k)`` deltas. ``start`` also starts the persistent worker
+processes, each with one ``multiprocessing`` Pipe. A worker attaches
+every segment, rebuilds genuine attribute specs on top of the zero-copy
+views, and constructs one real :class:`~repro.core.state.ClusterState`
+over them.
+
+Per batch, :meth:`MultiprocessBackend.map_score` writes the shards'
+rows and labels into the input segments once and sends each worker
+**one** message: the small additive statistics
+(``export_scoring_stats`` — O(k·(d+v)) floats), λ, and the bounds of
+its contiguous run of shards. The worker scores each of its shards into
+its rows of the delta segment and acknowledges; the parent waits for
+every acknowledgement and hands back the shards' slices of one copy of
+the deltas, in shard order, so the merge is deterministic no matter
+which worker ran which shard.
 
 Bit-identity argument: the worker's state holds the same float64 bytes
 for ``points``/codes/values as the parent (shared memory), recomputes
@@ -30,9 +39,10 @@ from __future__ import annotations
 
 import os
 import secrets
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context, shared_memory
+import time
+import traceback
+from multiprocessing import get_context, parent_process, shared_memory
+from multiprocessing.connection import wait
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,6 +51,14 @@ from .base import Backend, BackendError
 
 #: Shared-memory segment name prefix (lifecycle tests scan for leaks).
 SEGMENT_PREFIX = "repro_bk"
+
+#: Seconds ``shutdown`` waits for the workers to exit before killing them.
+JOIN_TIMEOUT_S = 5.0
+
+_WORKER_DIED = (
+    "a multiprocess scoring worker died mid-fit; "
+    "the fit cannot continue bit-identically and was aborted"
+)
 
 # Worker-process globals, set once by _init_worker.
 _WORKER_STATE: Any = None
@@ -132,7 +150,7 @@ def _score_shard(task: tuple[np.ndarray, np.ndarray, dict[str, Any], float]) -> 
         if event is not None and event.kind == "sigkill":
             import signal
 
-            os.kill(os.getpid(), signal.SIGKILL)  # pool breaks; map_score raises
+            os.kill(os.getpid(), signal.SIGKILL)  # pipe breaks; map_score raises
     indices, labels, stats, lam = task
     state = _WORKER_STATE
     if state is None:  # pragma: no cover - initializer always ran
@@ -142,14 +160,56 @@ def _score_shard(task: tuple[np.ndarray, np.ndarray, dict[str, Any], float]) -> 
     return state.batch_move_deltas(np.asarray(indices), lam)
 
 
+def _worker_main(conn: Any, spec: dict[str, Any]) -> None:
+    """Worker process: attach the placement, then serve batch messages.
+
+    Each message is ``(stats, lambda, bounds)``; the worker scores the
+    rows ``[lo, hi)`` of the input segments for every ``(lo, hi)`` in
+    *bounds* into the same rows of the delta segment, then replies
+    ``None``, or ``(exception, its traceback)`` if scoring raised. A
+    ``None`` message, or the parent's exit, ends the loop.
+    """
+    _init_worker(spec)
+    n, k, io = spec["n"], spec["k"], spec["io"]
+    indices = _attach_array(io["indices"], (n,), "<i8")
+    labels = _attach_array(io["labels"], (n,), "<i8")
+    out = _attach_array(io["deltas"], (n, k), "<f8")
+    # A forked sibling may hold a copy of this pipe's parent end, so
+    # the parent's exit is watched through its sentinel instead.
+    parent = parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
+    while conn in wait(watched):
+        try:
+            message = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if message is None:
+            return
+        stats, lam, bounds = message
+        reply: Any = None
+        try:
+            for lo, hi in bounds:
+                out[lo:hi] = _score_shard((indices[lo:hi], labels[lo:hi], stats, lam))
+        except Exception as exc:
+            reply = (exc, _RemoteTraceback(traceback.format_exc()))
+        conn.send(reply)
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, raised as the ``__cause__`` of its error."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class MultiprocessBackend(Backend):
-    """Score shards in worker processes over one shared data placement.
+    """Score shards in persistent worker processes over shared memory.
 
     Construction is cheap and allocates nothing; :meth:`start` places
-    the data and creates the (lazy) process pool, :meth:`shutdown`
-    (idempotent, run by the engine's ``finally``) tears both down and
-    unlinks every segment — including after a worker was SIGKILLed
-    mid-fit, in which case :meth:`map_score` surfaces a
+    the data and the input/output segments and starts the workers,
+    :meth:`shutdown` (idempotent, run by the engine's ``finally``)
+    stops them and unlinks every segment — including after a worker was
+    SIGKILLed mid-fit, in which case :meth:`map_score` surfaces a
     :class:`BackendError` instead of hanging.
     """
 
@@ -158,29 +218,43 @@ class MultiprocessBackend(Backend):
     def __init__(self, workers: int | str | None = None) -> None:
         super().__init__(workers)
         self._segments: list[shared_memory.SharedMemory] = []
-        self._executor: ProcessPoolExecutor | None = None
+        self._procs: list[Any] = []
+        self._conns: list[Any] = []
+        # Parent-side views of the input/output segments.
+        self._indices: np.ndarray | None = None
+        self._labels: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     # -- data placement ------------------------------------------------ #
+
+    def _segment(self, shape: tuple[int, ...], dtype: Any) -> tuple[np.ndarray, str]:
+        """A fresh named segment and a parent-side view of it."""
+        dtype = np.dtype(dtype)
+        shm = shared_memory.SharedMemory(
+            create=True,
+            size=max(1, int(np.prod(shape)) * dtype.itemsize),
+            name=f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}",
+        )
+        self._segments.append(shm)
+        return np.ndarray(shape, dtype=dtype, buffer=shm.buf), shm.name
 
     def _place(self, array: np.ndarray) -> dict[str, str]:
         """Copy *array* into a fresh named segment; return its spec."""
         array = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(
-            create=True,
-            size=max(1, array.nbytes),
-            name=f"{SEGMENT_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}",
-        )
-        self._segments.append(shm)
-        view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
+        view, name = self._segment(array.shape, array.dtype)
         view[...] = array
-        return {"shm": shm.name, "dtype": array.dtype.str}
+        return {"shm": name, "dtype": array.dtype.str}
 
     def start(self, state: Any) -> None:
         self.shutdown()  # reusable across fits: re-place fresh data
+        n, k = int(state.n), int(state.k)
+        self._indices, indices_name = self._segment((n,), np.int64)
+        self._labels, labels_name = self._segment((n,), np.int64)
+        self._out, deltas_name = self._segment((n, k), np.float64)
         spec: dict[str, Any] = {
-            "n": int(state.n),
+            "n": n,
             "dim": int(state.dim),
-            "k": int(state.k),
+            "k": k,
             "points": self._place(state.points),
             "cats": [
                 {
@@ -195,21 +269,36 @@ class MultiprocessBackend(Backend):
                 {"name": s.name, "weight": float(s.weight), **self._place(s.values)}
                 for s in state.numeric_specs
             ],
+            "io": {"indices": indices_name, "labels": labels_name, "deltas": deltas_name},
         }
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_pick_context(),
-            initializer=_init_worker,
-            initargs=(spec,),
-        )
+        ctx = _pick_context()
+        for _ in range(self.workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(child, spec), daemon=True)
+            proc.start()
+            # Close the child's end here before the next fork, so a dead
+            # worker reads as EOF on its pipe.
+            child.close()
+            self._procs.append(proc)
+            self._conns.append(conn)
 
     def shutdown(self) -> None:
-        if self._executor is not None:
+        for conn in self._conns:
             try:
-                self._executor.shutdown(wait=True, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken pools still release
+                conn.send(None)
+            except OSError:  # the worker is already gone
                 pass
-            self._executor = None
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        for proc in self._procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        for conn in self._conns:
+            conn.close()
+        self._procs, self._conns = [], []
+        # Views must go before their segments close.
+        self._indices = self._labels = self._out = None
         for shm in self._segments:
             try:
                 shm.close()
@@ -226,20 +315,44 @@ class MultiprocessBackend(Backend):
     def map_score(
         self, state: Any, shards: Sequence[np.ndarray], lambda_: float
     ) -> list[np.ndarray]:
-        if self._executor is None:
+        if not self._conns:
             raise BackendError("MultiprocessBackend.map_score before start()")
+        if not shards:
+            return []
+        ends = np.cumsum([0, *(len(shard) for shard in shards)]).tolist()
+        rows = ends[-1]
+        # No local view of a segment: a raised error's traceback would
+        # keep it alive and stop ``shutdown`` from closing the segment.
+        np.concatenate(shards, out=self._indices[:rows])
+        self._labels[:rows] = state.labels[self._indices[:rows]]
         stats = state.export_scoring_stats()
         lam = float(lambda_)
-        tasks = [(shard, state.labels[shard], stats, lam) for shard in shards]
-        try:
-            # executor.map yields results in submission order: the merge
-            # is deterministic regardless of worker scheduling.
-            return list(self._executor.map(_score_shard, tasks))
-        except BrokenProcessPool as exc:
-            raise BackendError(
-                "a multiprocess scoring worker died mid-fit (pool is broken); "
-                "the fit cannot continue bit-identically and was aborted"
-            ) from exc
+        bounds = list(zip(ends[:-1], ends[1:]))
+        per = -(-len(bounds) // len(self._conns))  # ceil division
+        sent, errors = [], []
+        for w, conn in enumerate(self._conns):
+            run = bounds[w * per : (w + 1) * per]
+            if not run:
+                break
+            try:
+                conn.send((stats, lam, run))
+            except OSError as exc:
+                errors.append((BackendError(_WORKER_DIED), exc))
+                break
+            sent.append(conn)
+        for conn in sent:  # every reply is read, so none is left in a pipe
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError) as exc:
+                reply = (BackendError(_WORKER_DIED), exc)
+            if reply is not None:
+                errors.append(reply)
+        if errors:
+            error, cause = errors[0]
+            raise error from cause
+        # One copy: no view of the shared buffer leaves this call.
+        out = self._out[:rows].copy()
+        return [out[lo:hi] for lo, hi in bounds]
 
     # -- introspection (lifecycle tests) ------------------------------- #
 
@@ -248,7 +361,5 @@ class MultiprocessBackend(Backend):
         return [shm.name for shm in self._segments]
 
     def worker_pids(self) -> list[int]:
-        """PIDs of spawned worker processes (empty before first dispatch)."""
-        if self._executor is None or not getattr(self._executor, "_processes", None):
-            return []
-        return list(self._executor._processes)
+        """PIDs of the live worker processes."""
+        return [proc.pid for proc in self._procs if proc.is_alive()]

@@ -271,10 +271,10 @@ class MiniBatchSweep(SweepStrategy):
 
     name = "minibatch"
 
-    #: Minimum rows per scoring shard; below this the per-task overhead
-    #: outweighs the GEMM work.
+    #: Minimum rows per scoring shard; below this a shard's share of the
+    #: batch message and its acknowledgement outweighs the GEMM work.
     MIN_SHARD = 512
-    #: Maximum shards per batch (bounds per-batch task overhead).
+    #: Maximum shards per batch (bounds the per-batch scoring calls).
     MAX_SHARDS = 8
 
     def __init__(

@@ -148,8 +148,8 @@ def shard_move_deltas(
 ) -> np.ndarray:
     """Pure-function core of :meth:`ClusterState.batch_move_deltas`.
 
-    Every scoring path in the system — in process, in threads and in
-    multiprocess workers — funnels through this one expression sequence
+    Every scoring path in the system — in process and in multiprocess
+    workers — funnels through this one expression sequence
     so their float operation order is identical and a multiprocess fit
     stays bit for bit equal to a local one.
 
@@ -261,8 +261,9 @@ class ClusterState:
         # through this hoisted constant is bit-identical to the inline
         # division while saving the per-call int multiply.
         self._n2 = float(self.n * self.n)
-        #: Mutation counter: bumped by every apply_move/resync so frozen
-        #: scoring views (repro.core.parallel) can detect races.
+        #: Mutation counter: bumped by every apply_move, resync and
+        #: install_scoring_stats; the engine compares it with
+        #: ``resynced_at`` to skip a rebuild when nothing changed.
         self.mutations = 0
         #: ``mutations`` as the last resync left it: the caches are
         #: fresh while the two are equal.

@@ -351,8 +351,8 @@ def backend_gate(payload: dict[str, Any]) -> GateReport:
     backend is pure overhead. A single-core host gets a note instead of
     a failure, as in :func:`fleet_gate`. Sizes below
     ``BACKEND_GATE_MIN_N`` (CI smoke runs) are reported but not gated:
-    at a few thousand rows the per-shard pickling round trip dominates
-    the arithmetic it ships.
+    at a few thousand rows the per-batch pipe messages and the copy of
+    the shared delta segment dominate the arithmetic they carry.
     """
     validate_bench(payload)
     locals_ = {

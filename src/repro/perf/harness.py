@@ -595,9 +595,8 @@ def bench_backend(
       :class:`~repro.backend.MultiprocessBackend` at each worker count
       (the ``jobs`` column is the worker-*process* count).
 
-    The batch size is large (default 16384) so every batch shards into
-    many per-worker scoring tasks — the section the backend
-    parallelizes. Labels and centers are asserted bit-identical to the
+    The batch size is large (default 16384) so every batch splits into
+    several scoring shards — the section the backend parallelizes. Labels and centers are asserted bit-identical to the
     local baseline at every worker count (the backend contract), and
     every record's ``extra`` carries the backend name and the host's
     ``cpu_count`` — :func:`repro.perf.compare.backend_gate` cannot hold

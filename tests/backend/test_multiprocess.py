@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
-from multiprocessing import shared_memory
+from multiprocessing import get_context, shared_memory
 
 import numpy as np
 import pytest
@@ -134,6 +134,115 @@ def test_scoring_worker_holds_no_column_copy(monkeypatch):
     assert np.array_equal(parent._columns, points.T)
     # Construction alone never allocates it either.
     assert ClusterState(points, parent.labels, k, cats, nums)._columns is None
+
+
+def _fit_pair(n, batch, workers, k=3):
+    points, cats, nums = _problem(n)
+
+    def run(backend, w):
+        return MiniBatchFairKM(
+            k, batch_size=batch, seed=0, max_iter=4, backend=backend, workers=w
+        ).fit(points, categorical=cats, numeric=nums)
+
+    return run("local", 1), run("multiprocess", workers)
+
+
+def _assert_same_fit(local, mp):
+    assert np.array_equal(local.labels, mp.labels)
+    assert np.array_equal(local.centers, mp.centers)
+    assert np.array_equal(local.objective_history, mp.objective_history)
+
+
+def test_spawned_workers_are_bit_identical_to_local(monkeypatch):
+    """The worker target, its spec and its Pipe pickle under ``spawn``."""
+    from repro.backend import multiprocess
+
+    monkeypatch.setattr(multiprocess, "_pick_context", lambda: get_context("spawn"))
+    local, mp = _fit_pair(700, 600, 2)
+    assert all(s["shards"] > 0 for s in mp.diagnostics["sweeps"])
+    _assert_same_fit(local, mp)
+
+
+@pytest.mark.parametrize(
+    "n, batch, workers, shards",
+    [
+        (2600, 2500, 2, 5),  # runs of 3 and 2 shards
+        (1000, 900, 3, 2),  # one shard each, the third worker idle
+    ],
+)
+def test_uneven_and_idle_worker_splits_are_bit_identical(n, batch, workers, shards):
+    local, mp = _fit_pair(n, batch, workers)
+    assert all(s["shards"] == shards for s in mp.diagnostics["sweeps"])
+    _assert_same_fit(local, mp)
+
+
+# --------------------------------------------------------------------- #
+# Worker transport                                                        #
+# --------------------------------------------------------------------- #
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_worker_exception_is_reraised_in_the_parent(monkeypatch):
+    from repro.backend import multiprocess
+
+    score, calls = multiprocess._score_shard, []
+
+    def fails_first(task):  # each forked worker counts its own calls
+        calls.append(task)
+        if len(calls) == 1:
+            raise ValueError("scoring failed in the worker")
+        return score(task)
+
+    monkeypatch.setattr(multiprocess, "_pick_context", lambda: get_context("fork"))
+    monkeypatch.setattr(multiprocess, "_score_shard", fails_first)
+    points, cats, nums = _problem(300)
+    state = ClusterState(points, np.arange(300) % 3, 3, cats, nums)
+    backend = MultiprocessBackend(2)
+    backend.start(state)
+    try:
+        names = backend.segment_names()
+        pids = backend.worker_pids()
+        assert len(pids) == 2
+        shards = backend.shard(np.arange(300), 64)  # runs of 3 and 2 shards
+        with pytest.raises(ValueError, match="scoring failed in the worker"):
+            backend.map_score(state, shards, 1.0)
+        # Both failures were read: no stale reply answers the next batch.
+        parts = backend.map_score(state, shards, 1.0)
+        for shard, part in zip(shards, parts):
+            assert np.array_equal(part, state.batch_move_deltas(shard, 1.0))
+    finally:
+        backend.shutdown()
+    _assert_no_leaked_segments(names)
+    assert not any(_pid_alive(pid) for pid in pids)
+    assert backend.worker_pids() == []
+
+
+def test_map_score_returns_no_view_of_shared_memory():
+    n, k = 600, 3
+    points, cats, nums = _problem(n)
+    state = ClusterState(points, np.arange(n) % k, k, cats, nums)
+    backend = MultiprocessBackend(2)
+    backend.start(state)
+    try:
+        shards = backend.shard(np.arange(50, 550), 100)
+        first = backend.map_score(state, shards, 2.0)
+        kept = [part.copy() for part in first]
+        state.relabel(np.arange(0, n, 2), (np.arange(0, n, 2) + 1) % k)
+        second = backend.map_score(state, shards, 2.0)
+        for before, after in zip(first, kept):
+            assert np.array_equal(before, after)
+        for shard, part in zip(shards, second):
+            assert np.array_equal(part, state.batch_move_deltas(shard, 2.0))
+        assert not all(np.array_equal(a, b) for a, b in zip(first, second))
+    finally:
+        backend.shutdown()
 
 
 # --------------------------------------------------------------------- #
