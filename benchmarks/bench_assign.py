@@ -8,9 +8,9 @@ checks that chunking never changes the labels.
 Measurements go through the :mod:`repro.perf.harness` emitter: the
 machine-readable record is ``results/BENCH_assign_chunks.json`` and the
 human-readable ``results/assign_throughput.txt`` is rendered *from* that
-JSON (one code path, two formats). The jobs axis lives in
-``repro bench`` / ``results/BENCH_assign.json``; this bench sweeps the
-chunk-size axis at jobs=1.
+JSON (one code path, two formats). Assignment is serial, so the
+chunk size is its only axis; every record is at jobs=1. The HTTP
+serving ceiling is ``repro bench serve``'s ``assign_inprocess`` record.
 
 Runs standalone (no pytest needed), which is how CI smoke-invokes it::
 

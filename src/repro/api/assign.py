@@ -9,14 +9,9 @@ center over the non-sensitive features.
 norms once, so each served chunk costs one GEMM plus an argmin. Chunking
 bounds the working set to ``chunk_size × k`` floats regardless of
 request size, which keeps throughput flat from thousands to millions of
-rows (``repro bench`` / ``benchmarks/bench_assign.py`` measure it).
-
-For very wide requests the chunks themselves are embarrassingly
-parallel: with ``workers > 1`` they are fanned out across worker threads
-(the per-chunk GEMM releases the GIL), each writing its disjoint slice
-of the preallocated output. The chunk partition and per-chunk
-arithmetic are identical to the serial path, so the labels are
-bit-identical for every worker count.
+rows (``benchmarks/bench_assign.py`` measures it). Chunks are scored one
+after another in the calling thread: a thread per chunk never beat the
+serial loop, and a server already runs one request per thread.
 
 The per-chunk arithmetic is kept term-for-term identical to
 :func:`repro.cluster.distance.nearest_center` so that batch assignment
@@ -30,7 +25,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ..cluster.distance import squared_norms
-from ..core.parallel import WorkerPool
+from ..core.parallel import as_integral
 
 #: Default serving chunk: big enough to saturate BLAS, small enough to
 #: keep the (chunk × k) distance block comfortably in cache/RAM.
@@ -43,10 +38,6 @@ class Assigner:
     Args:
         centers: cluster centers, shape ``(k, d)`` (non-sensitive
             features only).
-        workers: worker threads fanning :meth:`assign`'s chunks out
-            (``None``/1 serial, -1 or ``"auto"`` one per usable CPU),
-            fixed for the service's lifetime. Labels are bit-identical
-            for every value.
 
     Example:
         >>> import numpy as np
@@ -55,16 +46,13 @@ class Assigner:
         [0, 1]
     """
 
-    def __init__(self, centers: np.ndarray, *, workers: int | str | None = None) -> None:
+    def __init__(self, centers: np.ndarray) -> None:
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(f"centers must be a non-empty 2-D array, got {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
         self.centers = centers
-        # One pool, reused across requests.
-        self._pool = WorkerPool(workers)
-        self.workers = self._pool.workers
         # Kept as the same transposed view nearest_center's GEMM sees, so
         # chunked serving matches in-process predict bit for bit.
         self._centers_t = centers.T
@@ -129,9 +117,7 @@ class Assigner:
             points: query matrix ``(n, d)`` (a single ``(d,)`` row is
                 promoted).
             chunk_size: rows scored per GEMM (default
-                :data:`DEFAULT_CHUNK_SIZE`). Chunks write disjoint
-                output slices, so labels are bit-identical at every
-                worker count.
+                :data:`DEFAULT_CHUNK_SIZE`).
             return_distance: also return the squared distance to the
                 assigned center.
 
@@ -144,13 +130,8 @@ class Assigner:
         n = points.shape[0]
         labels = np.empty(n, dtype=np.int64)
         distances = np.empty(n, dtype=np.float64) if return_distance else None
-        thunks = [
-            (lambda s=start: self._assign_block(
-                points, labels, distances, s, min(s + chunk, n)
-            ))
-            for start in range(0, n, chunk)
-        ]
-        self._pool.run(thunks)
+        for start in range(0, n, chunk):
+            self._assign_block(points, labels, distances, start, min(start + chunk, n))
         if distances is not None:
             return labels, distances
         return labels
@@ -200,17 +181,10 @@ class Assigner:
     def _chunk(self, chunk_size: int | None) -> int:
         if chunk_size is None:
             return DEFAULT_CHUNK_SIZE
-        # bool is an int subclass and floats truncate (int(0.5) == 0,
-        # which would hang the chunk loop): demand an integral value.
-        try:
-            integral = not isinstance(chunk_size, bool) and chunk_size == int(chunk_size)
-        except (TypeError, ValueError, OverflowError):  # inf overflows int()
-            integral = False
-        if not integral:
-            raise ValueError(f"chunk_size must be an integer, got {chunk_size!r}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        return int(chunk_size)
+        chunk = as_integral(chunk_size, "chunk_size")
+        if chunk < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk}")
+        return chunk
 
 
 def batched_assign(
@@ -218,7 +192,6 @@ def batched_assign(
     centers: np.ndarray,
     *,
     chunk_size: int | None = None,
-    workers: int | str | None = None,
 ) -> np.ndarray:
     """One-shot convenience wrapper around :class:`Assigner`."""
-    return Assigner(centers, workers=workers).assign(points, chunk_size=chunk_size)
+    return Assigner(centers).assign(points, chunk_size=chunk_size)

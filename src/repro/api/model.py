@@ -113,12 +113,7 @@ class ClusterModel:
 
     @property
     def assigner(self) -> Assigner:
-        """The lazily-built batch-assignment service for these centers.
-
-        Serial (one worker) whether the model was just fitted or loaded
-        from disk; a host that wants more threads builds its own
-        ``Assigner(model.centers, workers=...)``.
-        """
+        """The lazily-built batch-assignment service for these centers."""
         if self._assigner is None:
             self._assigner = Assigner(self.centers)
         return self._assigner

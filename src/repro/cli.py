@@ -13,7 +13,7 @@ Subcommands::
     repro paper table5 --seeds 5 --engine chunked
     repro paper list
     repro bench --smoke --workers 2
-    repro bench compare old/BENCH_assign.json results/BENCH_assign.json
+    repro bench compare old/BENCH_serve.json results/BENCH_serve.json
 
 ``repro fit`` / ``repro predict`` are the train-once / assign-many
 split: ``fit`` writes a portable :class:`~repro.api.ClusterModel`
@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .api import BACKENDS, ENGINES, Assigner, ClusterModel, METHOD_REGISTRY, RunConfig
+from .api import BACKENDS, ENGINES, ClusterModel, METHOD_REGISTRY, RunConfig
 from .api import fit as api_fit
 from .experiments.paper import EXPERIMENTS, BenchSettings
 
@@ -191,11 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows scored per batch (default 8192)",
     )
     p_pred.add_argument(
-        "--workers", type=workers_value, default=None,
-        help="worker threads fanning assignment chunks out (default 1; "
-        "-1 or 'auto' = one per usable CPU; labels identical for every value)",
-    )
-    p_pred.add_argument(
         "--out", "-o", type=Path, default=None,
         help="write labels to this file (.npy, or text with one label per line)",
     )
@@ -239,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the perf suites and emit machine-readable BENCH_*.json; "
         "'bench compare' diffs two records",
-        description="Run the assignment/serving/fleet/backend benchmark "
-        "suites across worker counts, write schema-validated "
-        "BENCH_assign.json / BENCH_serve.json / BENCH_fleet.json / "
+        description="Run the serving/fleet/backend benchmark suites (the "
+        "fleet and backend suites across worker-process counts), write "
+        "schema-validated BENCH_serve.json / BENCH_fleet.json / "
         "BENCH_backend.json under results/, and print the rendered tables. "
         "'repro bench compare BASELINE CURRENT' diffs two bench files, runs "
         "the current file's suite gate (fleet, backend, or observability for "
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "suite", nargs="?",
-        choices=["assign", "serve", "fleet", "backend", "all", "compare"],
+        choices=["serve", "fleet", "backend", "all", "compare"],
         default="all",
         help="suite to run (default all), or 'compare' to diff two records",
     )
@@ -263,11 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--workers", type=workers_value, default=4,
-        help="top of the worker-count ladder 1,2,4,... (default 4)",
+        help="top of the fleet and backend worker-process ladder 1,2,4,... "
+        "(default 4)",
     )
     p_bench.add_argument(
         "--repeats", type=positive_int, default=None,
-        help="timing repeats, best-of (default: 3 assign/serve/fleet, "
+        help="timing repeats, best-of (default: 3 serve/fleet, "
         "1 backend; 1 everywhere under --smoke)",
     )
     p_bench.add_argument(
@@ -347,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--uds", type=Path, default=None, metavar="SOCKET",
         help="bind a Unix domain socket at this path instead of TCP "
         "(co-located clients skip the TCP stack entirely)",
-    )
-    p_serve.add_argument(
-        "--workers", type=workers_value, default=None,
-        help="worker threads per assignment call (default 1; labels "
-        "identical for every value)",
     )
     p_serve.add_argument(
         "--chunk-size", type=positive_int, default=None,
@@ -551,9 +542,10 @@ def load_points_file(path: Path) -> tuple[np.ndarray, dict[str, np.ndarray] | No
 
     ``.npz`` files must hold a ``points`` array and may carry sensitive
     attributes as ``sensitive_<name>`` arrays; ``.npy`` and ``.csv``
-    hold the matrix alone.
+    hold the matrix alone. The matrix must be 2-D and finite.
     """
     suffix = path.suffix.lower()
+    sensitive = None
     if suffix == ".npz":
         with np.load(path) as arrays:
             if "points" not in arrays:
@@ -563,14 +555,19 @@ def load_points_file(path: Path) -> tuple[np.ndarray, dict[str, np.ndarray] | No
                 key[len(SENSITIVE_PREFIX):]: np.asarray(arrays[key])
                 for key in arrays.files
                 if key.startswith(SENSITIVE_PREFIX)
-            }
-        return points, sensitive or None
-    if suffix == ".npy":
-        return np.asarray(np.load(path), dtype=np.float64), None
-    if suffix == ".csv":
+            } or None
+    elif suffix == ".npy":
+        points = np.asarray(np.load(path), dtype=np.float64)
+    elif suffix == ".csv":
         # ndmin=2 keeps a single-column file as (n, 1) instead of (1, n).
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2), None
-    raise ValueError(f"{path}: unsupported data format {suffix!r} (.npy/.npz/.csv)")
+        points = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    else:
+        raise ValueError(f"{path}: unsupported data format {suffix!r} (.npy/.npz/.csv)")
+    if points.ndim != 2:
+        raise ValueError(f"{path}: points must be a 2-D matrix, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{path}: points must be finite (no NaN or inf)")
+    return points, sensitive
 
 
 def _require_one_source(
@@ -684,9 +681,14 @@ def _cmd_predict(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         points = dataset.feature_matrix(scale=model.config.scale_features)
     else:
         points, _ = _load_data_file(args, parser)
+    if points.shape[1] != model.n_features:
+        source = f"--data {args.data}" if args.data is not None else f"--dataset {args.dataset}"
+        parser.error(
+            f"{source}: {points.shape[1]} features, but the model was fitted "
+            f"on {model.n_features}"
+        )
     start = time.perf_counter()
-    assigner = Assigner(model.centers, workers=args.workers)
-    labels = assigner.assign(points, chunk_size=args.chunk_size)
+    labels = model.assign(points, chunk_size=args.chunk_size)
     elapsed = time.perf_counter() - start
     counts = np.bincount(labels, minlength=model.k)
     rate = labels.size / elapsed if elapsed > 0 else float("inf")
@@ -831,7 +833,6 @@ def _cmd_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             host=args.host,
             port=args.port,
             uds=args.uds,
-            workers=args.workers,
             chunk_size=args.chunk_size,
             follow=not args.no_follow,
             pin_version=args.pin,

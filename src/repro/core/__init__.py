@@ -46,7 +46,6 @@ from .objective import (
     kmeans_term,
     numeric_deviation,
 )
-from .parallel import WorkerPool
 from .protocol import ClusteringEstimator, EstimatorMixin, NotFittedError
 from .state import ClusterState
 
@@ -67,7 +66,6 @@ __all__ = [
     "OptimizerEngine",
     "SequentialSweep",
     "SweepStrategy",
-    "WorkerPool",
     "categorical_deviation",
     "default_lambda",
     "fairkm_fit",

@@ -1,19 +1,15 @@
-"""Worker-count helpers and the ``Assigner``'s thread pool.
+"""Worker-count helpers.
 
 Every worker-count knob in the repo (the multiprocess training
-backend's process count, the ``Assigner``'s chunk fan-out, the CLI's
-``--workers``) shares one domain, checked by :func:`validate_workers`
-and resolved by :func:`resolve_workers`. :class:`WorkerPool` runs the
-``Assigner``'s chunk writers, which fill disjoint slices of one output
-array with GIL-releasing NumPy work, so the result does not depend on
-the worker count.
+backend's process count, the CLI's ``--workers``) shares one domain,
+checked by :func:`validate_workers` and resolved by
+:func:`resolve_workers`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable
+from typing import Any
 
 
 #: Environment variable capping ``"auto"``/``-1`` worker resolution.
@@ -64,9 +60,9 @@ def validate_workers(value: int | str | None, *, field: str = "workers") -> int 
 
     The single definition of the domain — an integral count >= 1, -1
     or ``"auto"`` (both: one worker per usable CPU) — shared by the
-    training backends, the ``Assigner`` and the CLI. ``None``
-    normalizes to 1 (serial). Error messages name *field* so config
-    validation points at the offending key.
+    training backends and the CLI. ``None`` normalizes to 1 (serial).
+    Error messages name *field* so config validation points at the
+    offending key.
     """
     domain = 'a positive integer, -1, or "auto"'
     if value is None:
@@ -92,54 +88,3 @@ def resolve_workers(value: int | str | None) -> int:
     if value == "auto" or value == -1:
         return core_budget()
     return int(value)
-
-
-class WorkerPool:
-    """A reusable thread pool bound to one worker count.
-
-    An ``Assigner`` dispatches one small task group per request —
-    creating and joining a fresh executor each time would pay thread
-    spawn on every one. The pool therefore creates its executor lazily
-    on the first genuinely parallel dispatch and keeps it for the
-    owner's lifetime; ``workers <= 1`` owners never start a thread.
-
-    Serial fallbacks (one worker, or fewer than two tasks) run inline
-    on the calling thread, so callers use one code path for both modes.
-    """
-
-    __slots__ = ("workers", "_executor")
-
-    def __init__(self, workers: int | str | None) -> None:
-        # Set before resolving so __del__ is safe when validation raises.
-        self._executor: ThreadPoolExecutor | None = None
-        self.workers = resolve_workers(workers)
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def run(self, thunks: Iterable[Callable[[], Any]]) -> None:
-        """Execute independent no-result thunks (e.g. slice writers).
-
-        Used by writers that fill disjoint slices of a preallocated
-        output array; ordering is irrelevant, exceptions propagate.
-        """
-        thunks = list(thunks)
-        if self.workers <= 1 or len(thunks) < 2:
-            for thunk in thunks:
-                thunk()
-            return
-        futures = [self._pool().submit(thunk) for thunk in thunks]
-        for future in futures:
-            future.result()
-
-    def shutdown(self) -> None:
-        """Release the worker threads (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
-
-    def __del__(self) -> None:  # pragma: no cover - gc timing
-        self.shutdown()
-

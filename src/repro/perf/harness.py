@@ -8,11 +8,11 @@ harness standardizes it:
 
     {
       "schema": "repro.bench/v1",
-      "suite": "assign",
+      "suite": "serve",
       "records": [
-        {"workload": "assigner_throughput", "n": 100000, "k": 15,
-         "jobs": 4, "wall_s": 0.021, "rows_per_s": 4.8e6,
-         "speedup": 2.3, "extra": {"d": 14, "chunk_size": 0}}
+        {"workload": "serve_http_npy", "n": 50000, "k": 15,
+         "jobs": 1, "wall_s": 0.021, "rows_per_s": 2.4e6,
+         "speedup": 1.0, "extra": {"d": 14, "version": "v0001-bench"}}
       ]
     }
 
@@ -23,11 +23,10 @@ same ``(workload, n, k)`` — the ``jobs=1`` run emitted in the same file
 CI runs it on every PR's smoke output and uploads the JSON as an
 artifact, extending the recorded perf trajectory.
 
-Four suites ship today (the FairKM fits themselves, quality next to
-speed, are measured by the repository benchmark under ``perfbench/``):
+Three suites ship today (the FairKM fits themselves, quality next to
+speed, are measured by the repository benchmark under ``perfbench/``;
+the ``Assigner``'s chunk-size axis by ``benchmarks/bench_assign.py``):
 
-* **assign** — the serving hot loop: ``Assigner.assign`` rows/s across
-  worker counts.
 * **serve** — the end-to-end serving ceiling: rows/s through a live
   :class:`~repro.serving.server.AssignmentServer` (npy and JSON
   payloads over HTTP) next to the in-process ``Assigner`` baseline on
@@ -73,7 +72,7 @@ import numpy as np
 BENCH_SCHEMA = "repro.bench/v1"
 
 #: Known suite names (one output file per suite).
-SUITES = ("assign", "serve", "fleet", "backend")
+SUITES = ("serve", "fleet", "backend")
 
 #: Required record fields and their types (``extra`` is optional).
 _RECORD_FIELDS: dict[str, type] = {
@@ -245,51 +244,8 @@ def _speedup_vs_baseline(records: list[BenchRecord]) -> None:
             r.speedup = base / r.wall_s
 
 
-def bench_assign(
-    sizes: Sequence[int],
-    jobs: Sequence[int],
-    *,
-    d: int = 14,
-    k: int = 15,
-    chunk_size: int | None = None,
-    repeats: int = 3,
-) -> list[BenchRecord]:
-    """Serving hot loop: ``Assigner.assign`` rows/s across worker counts.
-
-    Labels are asserted bit-identical to the jobs=1 run at every worker
-    count (parallel chunks write disjoint output slices).
-    """
-    from ..api.assign import Assigner
-
-    records: list[BenchRecord] = []
-    rng = np.random.default_rng(0)
-    centers = rng.normal(size=(k, d)) * 2.0
-    services = {j: Assigner(centers, workers=j) for j in jobs}
-    for n in sizes:
-        n = int(n)
-        points = rng.normal(size=(n, d))
-        baseline = Assigner(centers).assign(points, chunk_size=chunk_size)
-        for j in jobs:
-            wall, labels = _timed(
-                lambda: services[j].assign(points, chunk_size=chunk_size),
-                repeats,
-            )
-            if not np.array_equal(labels, baseline):
-                raise AssertionError(f"assign workers={j} changed the labels")
-            records.append(
-                BenchRecord(
-                    "assigner_throughput", n, k, int(j),
-                    wall, n / wall if wall > 0 else 0.0,
-                    extra={"d": d, "chunk_size": chunk_size or 0},
-                )
-            )
-    _speedup_vs_baseline(records)
-    return records
-
-
 def bench_serve(
     sizes: Sequence[int],
-    jobs: Sequence[int],
     *,
     d: int = 14,
     k: int = 15,
@@ -299,7 +255,8 @@ def bench_serve(
 
     Publishes a synthetic model into a throwaway registry, starts an
     :class:`~repro.serving.server.AssignmentServer` on an ephemeral
-    port, and measures three workloads per (n, jobs):
+    port, and measures four workloads per n (every record at jobs=1:
+    a server scores each request in its handler thread):
 
     * ``serve_http_npy``   — ``POST /assign`` with raw npy bytes over a
       keep-alive connection (the serving fast path);
@@ -315,9 +272,9 @@ def bench_serve(
       carries instrumented/raw wall time, which ``repro bench compare``
       gates at ≤ 2%.
 
-    Served labels are asserted bit-identical to the in-process baseline
-    at every worker count, and the server's reported model version is
-    asserted on every response.
+    Served labels are asserted bit-identical to the in-process baseline,
+    and the server's reported model version is asserted on every
+    response.
     """
     import tempfile
 
@@ -334,85 +291,79 @@ def bench_serve(
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         registry = ModelRegistry(Path(tmp) / "registry")
         version = registry.publish(model, label="bench")
-        for j in jobs:
-            server = AssignmentServer(registry=registry, workers=int(j)).start()
-            raw_server = AssignmentServer(
-                registry=registry, workers=int(j), metrics=False
-            ).start()
-            try:
-                with ServingClient(port=server.port) as client, ServingClient(
-                    port=raw_server.port
-                ) as raw_client:
-                    for n in sizes:
-                        n = int(n)
-                        points = rng.normal(size=(n, d))
-                        baseline = server.snapshot().assigner.assign(points)
-                        wall, _ = _timed(
-                            lambda: server.snapshot().assigner.assign(points), repeats
+        server = AssignmentServer(registry=registry).start()
+        raw_server = AssignmentServer(registry=registry, metrics=False).start()
+        try:
+            with ServingClient(port=server.port) as client, ServingClient(
+                port=raw_server.port
+            ) as raw_client:
+                for n in sizes:
+                    n = int(n)
+                    points = rng.normal(size=(n, d))
+                    baseline = server.snapshot().assigner.assign(points)
+                    wall, _ = _timed(
+                        lambda: server.snapshot().assigner.assign(points), repeats
+                    )
+                    records.append(
+                        BenchRecord(
+                            "assign_inprocess", n, k, 1,
+                            wall, n / wall if wall > 0 else 0.0,
+                            extra={"d": d},
                         )
-                        records.append(
-                            BenchRecord(
-                                "assign_inprocess", n, k, int(j),
-                                wall, n / wall if wall > 0 else 0.0,
-                                extra={"d": d},
-                            )
+                    )
+                    payloads = [("serve_http_npy", True)]
+                    if n <= 50_000:
+                        # JSON spends its wall in float <-> decimal
+                        # text; past ~50k rows the 100MB+ bodies only
+                        # measure the json module, not serving.
+                        payloads.append(("serve_http_json", False))
+                    npy_record: BenchRecord | None = None
+                    for workload, npy in payloads:
+                        wall, response = _timed(
+                            lambda npy=npy: client.assign(points, npy=npy),
+                            repeats,
                         )
-                        payloads = [("serve_http_npy", True)]
-                        if n <= 50_000:
-                            # JSON spends its wall in float <-> decimal
-                            # text; past ~50k rows the 100MB+ bodies only
-                            # measure the json module, not serving.
-                            payloads.append(("serve_http_json", False))
-                        npy_record: BenchRecord | None = None
-                        for workload, npy in payloads:
-                            wall, response = _timed(
-                                lambda npy=npy: client.assign(points, npy=npy),
-                                repeats,
-                            )
-                            if not np.array_equal(response.labels, baseline):
-                                raise AssertionError(
-                                    f"{workload} workers={j} labels diverged from "
-                                    "in-process assign"
-                                )
-                            if response.version != version:
-                                raise AssertionError(
-                                    f"{workload} served version {response.version!r},"
-                                    f" expected {version!r}"
-                                )
-                            record = BenchRecord(
-                                workload, n, k, int(j),
-                                wall, n / wall if wall > 0 else 0.0,
-                                extra={"d": d, "version": version},
-                            )
-                            records.append(record)
-                            if workload == "serve_http_npy":
-                                npy_record = record
-                        # Same rows against the telemetry-off twin: the
-                        # instrumentation must be near-free on the fast
-                        # path, and this pair is what proves it.
-                        raw_wall, raw_response = _timed(
-                            lambda: raw_client.assign(points, npy=True), repeats
-                        )
-                        if not np.array_equal(raw_response.labels, baseline):
+                        if not np.array_equal(response.labels, baseline):
                             raise AssertionError(
-                                f"serve_http_npy_raw workers={j} labels diverged "
-                                "from in-process assign"
+                                f"{workload} labels diverged from in-process assign"
                             )
-                        raw_record = BenchRecord(
-                            "serve_http_npy_raw", n, k, int(j),
-                            raw_wall, n / raw_wall if raw_wall > 0 else 0.0,
-                            extra={"d": d, "version": version,
-                                   "instrumentation": "off"},
+                        if response.version != version:
+                            raise AssertionError(
+                                f"{workload} served version {response.version!r},"
+                                f" expected {version!r}"
+                            )
+                        record = BenchRecord(
+                            workload, n, k, 1,
+                            wall, n / wall if wall > 0 else 0.0,
+                            extra={"d": d, "version": version},
                         )
-                        records.append(raw_record)
-                        if npy_record is not None and raw_wall > 0:
-                            npy_record.extra["obs_overhead_ratio"] = (
-                                npy_record.wall_s / raw_wall
-                            )
-            finally:
-                server.stop()
-                raw_server.stop()
-    _speedup_vs_baseline(records)
+                        records.append(record)
+                        if workload == "serve_http_npy":
+                            npy_record = record
+                    # Same rows against the telemetry-off twin: the
+                    # instrumentation must be near-free on the fast
+                    # path, and this pair is what proves it.
+                    raw_wall, raw_response = _timed(
+                        lambda: raw_client.assign(points, npy=True), repeats
+                    )
+                    if not np.array_equal(raw_response.labels, baseline):
+                        raise AssertionError(
+                            "serve_http_npy_raw labels diverged from in-process assign"
+                        )
+                    raw_record = BenchRecord(
+                        "serve_http_npy_raw", n, k, 1,
+                        raw_wall, n / raw_wall if raw_wall > 0 else 0.0,
+                        extra={"d": d, "version": version,
+                               "instrumentation": "off"},
+                    )
+                    records.append(raw_record)
+                    if npy_record is not None and raw_wall > 0:
+                        npy_record.extra["obs_overhead_ratio"] = (
+                            npy_record.wall_s / raw_wall
+                        )
+        finally:
+            server.stop()
+            raw_server.stop()
     return records
 
 
@@ -712,16 +663,14 @@ def run_bench(
     """Run the requested suite(s); write and validate ``BENCH_*.json``.
 
     Args:
-        suite: ``"assign"``, ``"serve"``, ``"fleet"``, ``"backend"``
-            or ``"all"``.
+        suite: ``"serve"``, ``"fleet"``, ``"backend"`` or ``"all"``.
         smoke: small sizes for CI (seconds, not minutes).
-        max_jobs: top of the worker-count ladder (always includes 1; the
-            fleet and backend suites reuse it as the worker-*process*
-            ladder).
+        max_jobs: top of the fleet and backend suites' worker-*process*
+            ladder (always includes 1); the serve suite runs at jobs=1.
         out_dir: output directory (default: the results dir, honoring
             ``REPRO_RESULTS_DIR``).
-        repeats: timing repeats, best-of (default: 3 for assign, serve
-            and fleet, 1 for backend; 1 everywhere under ``smoke``).
+        repeats: timing repeats, best-of (default: 3 for serve and
+            fleet, 1 for backend; 1 everywhere under ``smoke``).
 
     Returns:
         Mapping of suite name to the written JSON path.
@@ -732,7 +681,6 @@ def run_bench(
         raise ValueError(f"suite must be one of {(*SUITES, 'all')}, got {suite!r}")
     out = Path(out_dir) if out_dir is not None else RESULTS_DIR
     jobs = job_ladder(max_jobs)
-    assign_sizes = (50_000,) if smoke else (100_000, 1_000_000)
     # 50k sits at the JSON-payload cutoff so full runs still record the
     # serve_http_json floor alongside the large npy-only measurement.
     serve_sizes = (20_000,) if smoke else (50_000, 500_000)
@@ -741,23 +689,15 @@ def run_bench(
     # arithmetic it ships, so smoke runs are reported but never gated.
     backend_sizes = (2_000,) if smoke else (100_000,)
     written: dict[str, Path] = {}
-    if suite in ("assign", "all"):
-        records = bench_assign(
-            assign_sizes,
-            jobs,
-            repeats=(1 if smoke else 3) if repeats is None else repeats,
-        )
-        written["assign"] = write_bench(out / "BENCH_assign.json", "assign", records)
     if suite in ("serve", "all"):
         records = bench_serve(
             serve_sizes,
-            jobs,
             repeats=(1 if smoke else 3) if repeats is None else repeats,
         )
         written["serve"] = write_bench(out / "BENCH_serve.json", "serve", records)
     if suite in ("fleet", "all"):
-        # The jobs ladder doubles as the fleet-size ladder: the suite's
-        # ``jobs`` column counts worker *processes*, not threads.
+        # The jobs ladder is the fleet-size ladder: the suite's ``jobs``
+        # column counts worker *processes*.
         records = bench_fleet(
             fleet_sizes_n,
             jobs,
@@ -765,7 +705,7 @@ def run_bench(
         )
         written["fleet"] = write_bench(out / "BENCH_fleet.json", "fleet", records)
     if suite in ("backend", "all"):
-        # The jobs ladder doubles as the worker-process ladder here too.
+        # The jobs ladder is the worker-process ladder here too.
         records = bench_backend(
             backend_sizes, jobs, repeats=repeats if repeats is not None else 1
         )

@@ -277,9 +277,6 @@ class AssignmentServer(ConnectionTrackingServer):
         uds: bind a unix-domain socket at this path instead of a TCP
             port (co-located clients connect with
             ``ServingClient(uds=...)``; ``repro serve --uds``).
-        workers: worker threads per assignment call (1 serial, -1 or
-            ``"auto"`` one per usable CPU); labels are bit-identical for
-            every value.
         chunk_size: default rows per scored block (requests may
             override per call).
         follow: with the default ``True``, hot-reload whenever the
@@ -320,7 +317,6 @@ class AssignmentServer(ConnectionTrackingServer):
         host: str = "127.0.0.1",
         port: int = 0,
         uds: str | Path | None = None,
-        workers: int | str | None = None,
         chunk_size: int | None = None,
         follow: bool = True,
         pin_version: str | None = None,
@@ -337,7 +333,6 @@ class AssignmentServer(ConnectionTrackingServer):
             raise ValueError("pin_version= requires registry mode")
         self.registry = registry
         self.model_path = Path(model_path) if model_path is not None else None
-        self.workers = workers
         self.chunk_size = chunk_size
         self.follow = follow and pin_version is None
         self.quiet = quiet
@@ -441,7 +436,7 @@ class AssignmentServer(ConnectionTrackingServer):
             model = ClusterModel.load(self.model_path)
             version = self.model_path.name
             mtime_ns = None
-        assigner = Assigner(model.centers, workers=self.workers)
+        assigner = Assigner(model.centers)
         return _Snapshot(version, model, assigner), mtime_ns
 
     def reload(self, *, force: bool = False, version: str | None = None) -> bool:

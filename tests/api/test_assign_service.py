@@ -110,7 +110,7 @@ def test_non_finite_rows_are_refused_not_labelled(bad):
     with pytest.raises(ValueError, match="finite"):
         service.assign(points)
     with pytest.raises(ValueError, match="finite"):
-        Assigner(service.centers, workers=2).assign(points, chunk_size=1)
+        service.assign(points, chunk_size=1)
     with pytest.raises(ValueError, match="finite"):
         list(service.assign_iter(points))
     with pytest.raises(ValueError, match="finite"):

@@ -1,10 +1,12 @@
-"""Multi-worker Assigner: bit-identical fan-out across worker threads."""
+"""Assignment is serial: the Assigner matches every method's predict,
+and the retired worker-count knobs are refused."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.api import (
     Assigner,
     ClusterModel,
@@ -13,6 +15,7 @@ from repro.api import (
     batched_assign,
     build_estimator,
 )
+from repro.serving import AssignmentServer
 
 N, D, K = 240, 5, 3
 
@@ -29,63 +32,34 @@ def data():
 
 @pytest.mark.parametrize("method", sorted(METHOD_REGISTRY))
 def test_parallel_assign_equals_predict_per_method(data, method):
-    """Assigner(workers=4) matches in-process predict for every method."""
+    """Assigner matches in-process predict for every method."""
     points, sensitive, probe = data
     estimator = build_estimator(RunConfig(method=method, k=K, seed=0, max_iter=10))
     estimator.fit_predict(points, sensitive=sensitive)
-    service = Assigner(estimator.centers_, workers=4)
-    # Tiny chunks force a real multi-task fan-out over the probe.
+    service = Assigner(estimator.centers_)
+    # Tiny chunks split the probe across many GEMMs.
     np.testing.assert_array_equal(
         service.assign(probe, chunk_size=64), estimator.predict(probe)
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4, -1])
-def test_parallel_chunks_bit_identical(data, workers):
-    points, _, probe = data
-    rng = np.random.default_rng(0)
-    centers = rng.normal(size=(K, D)) * 3.0
-    base_labels, base_d2 = Assigner(centers).assign(
-        probe, chunk_size=32, return_distance=True
-    )
-    labels, d2 = Assigner(centers, workers=workers).assign(
-        probe, chunk_size=32, return_distance=True
-    )
-    np.testing.assert_array_equal(labels, base_labels)
-    np.testing.assert_array_equal(d2, base_d2)
-
-
-def test_constructor_workers_fix_the_width(data):
-    _, _, probe = data
-    rng = np.random.default_rng(1)
-    centers = rng.normal(size=(K, D))
-    parallel = Assigner(centers, workers=4)
-    serial = Assigner(centers)
-    assert (parallel.workers, serial.workers) == (4, 1)
-    np.testing.assert_array_equal(
-        parallel.assign(probe, chunk_size=50), serial.assign(probe, chunk_size=50)
-    )
-
-
-def test_batched_assign_workers(data):
-    _, _, probe = data
-    rng = np.random.default_rng(2)
-    centers = rng.normal(size=(K, D))
-    np.testing.assert_array_equal(
-        batched_assign(probe, centers, chunk_size=33, workers=3),
-        batched_assign(probe, centers),
-    )
-
-
-def test_invalid_n_jobs_rejected(data):
-    """Bad worker counts raise; the retired n_jobs spelling is refused
-    outright instead of being silently ignored."""
+def test_invalid_n_jobs_rejected(data, capsys):
+    """Assignment takes no worker count: the retired workers and n_jobs
+    spellings are refused outright instead of being silently ignored."""
     _, _, probe = data
     centers = np.eye(D)[:K]
-    with pytest.raises(ValueError, match="workers"):
-        Assigner(centers, workers=0)
-    with pytest.raises(ValueError, match="workers"):
-        Assigner(centers, workers=-2)
+    with pytest.raises(TypeError, match="workers"):
+        Assigner(centers, workers=2)
+    with pytest.raises(TypeError, match="workers"):
+        batched_assign(probe, centers, workers=2)
+    with pytest.raises(TypeError, match="workers"):
+        AssignmentServer(model_path="m", workers=2)
+    for argv in (["serve", "--workers", "2"],
+                 ["predict", "--model", "m", "--dataset", "synthetic", "--workers", "2"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     with pytest.raises(TypeError, match="n_jobs"):
         Assigner(centers, n_jobs=2)
     with pytest.raises(TypeError, match="n_jobs"):
@@ -93,9 +67,9 @@ def test_invalid_n_jobs_rejected(data):
 
 
 def test_model_assigns_at_width_one(data, tmp_path):
-    """A fitted model serves serially whatever its training workers were,
-    exactly like the same model loaded back from disk; artifacts never
-    persist the worker count (v1 wire format unchanged)."""
+    """A model fitted by several worker processes assigns exactly like
+    the same model loaded back from disk; artifacts never persist the
+    worker count (v1 wire format unchanged)."""
     import json
 
     from repro.api import fit
@@ -111,7 +85,6 @@ def test_model_assigns_at_width_one(data, tmp_path):
     payload = json.loads((path / "model.json").read_text())
     assert "workers" not in payload["config"] and "n_jobs" not in payload["config"]
     loaded = ClusterModel.load(path)
-    assert model.assigner.workers == loaded.assigner.workers == 1
     np.testing.assert_array_equal(
         loaded.assign(probe, chunk_size=64), model.assign(probe, chunk_size=64)
     )

@@ -1,4 +1,4 @@
-"""Parallel hot paths: worker-pool utilities and sweep exactness.
+"""Parallel hot paths: worker-count resolution and sweep exactness.
 
 The contract under test is *bit-identical decisions*: the serial
 ``ChunkedSweep`` must reproduce the sequential sweep's labels and
@@ -22,7 +22,6 @@ from repro.core import (
     MiniBatchFairKM,
     MiniBatchSweep,
     NumericSpec,
-    WorkerPool,
     make_sweep,
 )
 from repro.core.parallel import resolve_workers
@@ -30,7 +29,7 @@ from repro.core.state import ClusterState
 
 
 # --------------------------------------------------------------------- #
-# Pool utilities                                                          #
+# Worker counts                                                           #
 # --------------------------------------------------------------------- #
 
 
@@ -43,29 +42,6 @@ def test_resolve_workers(monkeypatch):
     for bad in (0, -2):
         with pytest.raises(ValueError, match="workers"):
             resolve_workers(bad)
-
-
-def test_worker_pool_run_propagates_exceptions():
-    def boom(t):
-        raise RuntimeError("boom")
-
-    pool = WorkerPool(2)
-    with pytest.raises(RuntimeError, match="boom"):
-        pool.run([lambda: boom(0), lambda: None])
-    pool.shutdown()
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_worker_pool_run_fills_disjoint_slices(workers):
-    out = np.zeros(30, dtype=np.int64)
-    thunks = [
-        (lambda s=start: out.__setitem__(slice(s, s + 10), s))
-        for start in (0, 10, 20)
-    ]
-    pool = WorkerPool(workers)
-    pool.run(thunks)
-    pool.shutdown()
-    assert set(out[:10]) == {0} and set(out[10:20]) == {10} and set(out[20:]) == {20}
 
 
 # --------------------------------------------------------------------- #
@@ -98,29 +74,6 @@ def test_sweep_constructors_validate_workers():
     for workers in (-3, 8):
         with pytest.raises(ValueError, match="workers cannot be overridden"):
             MiniBatchFairKM(2, backend=MultiprocessBackend(2), workers=workers)
-
-
-def test_worker_pool_reuses_executor():
-    pool = WorkerPool(2)
-    assert pool._executor is None  # lazy: no threads until parallel work
-    out = []
-    pool.run([lambda: out.append(1), lambda: out.append(2)])
-    assert sorted(out) == [1, 2]
-    executor = pool._executor
-    assert executor is not None
-    pool.run([lambda: out.append(3), lambda: out.append(4)])
-    assert sorted(out) == [1, 2, 3, 4]
-    assert pool._executor is executor  # same executor across rounds
-    pool.shutdown()
-    assert pool._executor is None
-
-
-def test_worker_pool_serial_never_spawns():
-    pool = WorkerPool(None)
-    out = []
-    pool.run([lambda: out.append(1), lambda: out.append(2)])
-    assert out == [1, 2]
-    assert pool._executor is None
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ Three guarantees:
 
 1. every ``examples/*.py`` executes headlessly, end to end;
 2. every ``repro <subcommand>`` the docs mention exists in the CLI (and
-   second-level actions like ``fleet up`` / ``bench fleet`` resolve);
+   second-level actions like ``fleet up`` / ``bench fleet`` resolve),
+   and every ``--flag`` written after it is an option of that parser;
 3. every backticked ``repro.*`` dotted symbol in the docs imports, and
    every relative markdown link (including ``#anchors``) resolves.
 
@@ -31,6 +32,12 @@ EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
 
 #: ``repro <cmd> [<arg>]`` mentions; args starting with ``-`` don't match.
 _CLI_RE = re.compile(r"\brepro\s+([a-z][a-z0-9_-]*)(?:\s+([a-z][a-z0-9_-]*))?")
+#: The further commands of an alternation like ``repro predict|serve``.
+_ALT_RE = re.compile(r"(?:\|[a-z][a-z0-9_-]*)+")
+#: Long options (``--chunk-size``), not the tail of a word like ``a--b``.
+_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A mention's flags end at a backtick, a blank line or the next mention.
+_FLAG_SCOPE_END_RE = re.compile(r"`|\n\s*\n|\brepro\s")
 
 #: Backticked content; dotted repro.* symbols are filtered from it.
 _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
@@ -85,11 +92,16 @@ def test_every_example_is_in_the_readme():
 
 
 def _cli_choices():
-    """Top-level subcommands and their second-token vocabularies."""
+    """Top-level subcommands, their second-token vocabularies, and the
+    option strings of each ``(command, action)`` parser (``action`` is
+    ``None`` for the command's own parser)."""
     import argparse
 
     from repro.cli import build_parser
     from repro.experiments.paper import EXPERIMENTS
+
+    def option_strings(parser):
+        return {opt for action in parser._actions for opt in action.option_strings}
 
     parser = build_parser()
     subparsers = next(
@@ -97,37 +109,70 @@ def _cli_choices():
     )
     commands = dict(subparsers.choices)
     second: dict[str, set[str]] = {}
+    options: dict[tuple[str, str | None], set[str]] = {}
     for name, sub in commands.items():
         vocab: set[str] = set()
+        options[(name, None)] = option_strings(sub)
         for action in sub._actions:
             if isinstance(action, argparse._SubParsersAction):
                 vocab |= set(action.choices)  # fleet/registry actions
+                for act_name, act_parser in action.choices.items():
+                    options[(name, act_name)] = option_strings(act_parser)
             elif action.choices and not action.option_strings:
                 vocab |= {c for c in action.choices if isinstance(c, str)}
         second[name] = vocab
     second["paper"] |= set(EXPERIMENTS)
-    return set(commands), second
+    return set(commands), second, options
+
+
+def _flag_scope(text: str, start: int) -> str:
+    """The text after a mention that its ``--flags`` are read from: up to
+    the next backtick, blank line or ``repro`` mention, and inside a
+    fenced code block up to the end of the (backslash-continued) line."""
+    end = _FLAG_SCOPE_END_RE.search(text, start)
+    stop = end.start() if end else len(text)
+    if text.count("```", 0, start) % 2:  # inside a fenced block
+        newline = start
+        while (newline := text.find("\n", newline, stop)) != -1:
+            if not text[:newline].rstrip().endswith("\\"):
+                return text[start:newline]
+            newline += 1
+    return text[start:stop]
 
 
 def test_doc_cli_references_exist():
-    commands, second = _cli_choices()
+    commands, second, options = _cli_choices()
     problems = []
     for path, text in _doc_text():
         for match in _CLI_RE.finditer(text):
             command, arg = match.group(1), match.group(2)
             if command not in commands:
                 problems.append(f"{path.name}: unknown command 'repro {command}'")
-            elif arg and second[command] and arg not in second[command]:
+                continue
+            if arg and second[command] and arg not in second[command]:
                 problems.append(
                     f"{path.name}: 'repro {command} {arg}' — "
                     f"{arg!r} is not a known {command} action"
                 )
+            names, tail_start = [command], match.end()
+            alternation = _ALT_RE.match(text, match.end(1)) if arg is None else None
+            if alternation:
+                names += alternation.group(0)[1:].split("|")
+                tail_start = alternation.end()
+            for flag in _FLAG_RE.findall(_flag_scope(text, tail_start)):
+                for name in names:
+                    known = options.get((name, arg), options.get((name, None), set()))
+                    if flag not in known:
+                        problems.append(
+                            f"{path.name}: 'repro {name} ... {flag}' — "
+                            f"{flag} is not a {name} option"
+                        )
     assert not problems, "\n".join(problems)
 
 
 def test_doc_cli_references_cover_the_surface():
     """Every user-facing subcommand must be documented somewhere."""
-    commands, _ = _cli_choices()
+    commands, _, _ = _cli_choices()
     text = "\n".join(body for _, body in _doc_text())
     mentioned = {m.group(1) for m in _CLI_RE.finditer(text)}
     undocumented = commands - mentioned

@@ -238,22 +238,48 @@ def test_cli_fit_fairness_method_without_sensitive_arrays_is_usage_error(capsys,
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "predict"])
-@pytest.mark.parametrize("data_name", ["points.parquet", "missing.npy"])
-def test_cli_unreadable_data_file_is_usage_error(command, data_name, capsys, tmp_path):
-    data_path = tmp_path / data_name
-    if data_path.suffix == ".parquet":
-        data_path.write_bytes(b"")  # exists, but no loader for the suffix
+def _argv_before_data(command, tmp_path):
+    """A `fit` or `predict` (against a saved 2-feature model) command
+    line that only lacks its `--data`."""
     if command == "fit":
-        argv = ["fit", "-k", "2", "--out", str(tmp_path / "m")]
-    else:
-        model = ClusterModel(np.zeros((2, 2)), RunConfig(method="kmeans", k=2))
-        argv = ["predict", "--model", str(model.save(tmp_path / "model"))]
+        return ["fit", "-k", "2", "--out", str(tmp_path / "m")]
+    model = ClusterModel(np.zeros((2, 2)), RunConfig(method="kmeans", k=2))
+    return ["predict", "--model", str(model.save(tmp_path / "model"))]
+
+
+#: --data files no command can use, by name: how to write each one.
+_UNUSABLE_DATA = {
+    "points.parquet": lambda path: path.write_bytes(b""),  # no loader for the suffix
+    "missing.npy": lambda path: None,
+    "nan.npz": lambda path: np.savez(
+        path, points=[[0.0, np.nan], [1.0, 1.0]], sensitive_g=[0, 1]
+    ),
+    "inf.csv": lambda path: path.write_text("0.0,inf\n1.0,-inf\n"),
+    "vector.npy": lambda path: np.save(path, np.zeros(4)),
+}
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("data_name", list(_UNUSABLE_DATA))
+def test_cli_unreadable_data_file_is_usage_error(command, data_name, capsys, tmp_path):
+    """A --data file that cannot be read, or holds no finite 2-D matrix,
+    is a usage error naming the file, not a traceback."""
+    data_path = tmp_path / data_name
+    _UNUSABLE_DATA[data_name](data_path)
     with pytest.raises(SystemExit) as err:
-        cli.main([*argv, "--data", str(data_path)])
+        cli.main([*_argv_before_data(command, tmp_path), "--data", str(data_path)])
     assert err.value.code == 2
     assert f"--data {data_path}" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+def test_cli_predict_width_mismatch_is_usage_error(capsys, tmp_path):
+    data_path = tmp_path / "points.npy"
+    np.save(data_path, np.zeros((4, 3)))
+    with pytest.raises(SystemExit) as err:
+        cli.main([*_argv_before_data("predict", tmp_path), "--data", str(data_path)])
+    assert err.value.code == 2
+    assert "3 features, but the model was fitted on 2" in capsys.readouterr().err
 
 
 def test_cli_predict_missing_model_is_usage_error(capsys, tmp_path):

@@ -14,7 +14,6 @@ from repro.perf import (
     write_bench,
 )
 from repro.perf.harness import (
-    bench_assign,
     bench_backend,
     bench_fleet,
     bench_serve,
@@ -83,16 +82,9 @@ def test_write_bench_round_trips(tmp_path):
     assert "repro.bench/v1" in render_bench(payload)
 
 
-def test_bench_assign_records_and_speedups():
-    records = bench_assign((4_000,), (1, 2), repeats=1)
-    validate_bench(bench_payload("assign", records))
-    assert {r.jobs for r in records} == {1, 2}
-    assert all(r.rows_per_s > 0 for r in records)
-
-
 def test_bench_serve_measures_http_against_in_process(tmp_path):
     """The serve suite records HTTP rows/s next to the in-process ceiling."""
-    records = bench_serve((2_000,), (1,), repeats=1)
+    records = bench_serve((2_000,), repeats=1)
     validate_bench(bench_payload("serve", records))
     workloads = {r.workload for r in records}
     assert workloads == {
@@ -146,13 +138,13 @@ def test_cli_bench_smoke_writes_validated_files(tmp_path, capsys):
     """`repro bench --smoke` emits BENCH_*.json that pass the validator."""
     from repro.cli import main
 
-    assert main(["bench", "assign", "--smoke", "--workers", "2",
+    assert main(["bench", "backend", "--smoke", "--workers", "2",
                  "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "BENCH_assign.json" in out
-    payload = json.loads((tmp_path / "BENCH_assign.json").read_text())
+    assert "BENCH_backend.json" in out
+    payload = json.loads((tmp_path / "BENCH_backend.json").read_text())
     validate_bench(payload)
-    assert payload["suite"] == "assign"
+    assert payload["suite"] == "backend"
     jobs = {r["jobs"] for r in payload["records"]}
     assert jobs == {1, 2}
 

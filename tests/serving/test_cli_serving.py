@@ -111,7 +111,7 @@ def test_bench_compare_cli_argument_errors(tmp_path, capsys):
 
 def test_bench_run_rejects_compare_only_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "assign", "--threshold", "0.5"])
+        main(["bench", "serve", "--threshold", "0.5"])
     assert excinfo.value.code == 2
     assert "only for 'bench compare'" in capsys.readouterr().err
 
