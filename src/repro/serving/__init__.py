@@ -28,9 +28,9 @@ deployment only reads geometry):
   ``POST /assign`` streams.
 * :mod:`repro.serving.proxy` — :class:`FleetProxy`, the scatter-gather
   front door: one port (TCP or Unix socket), npy and streamed bodies
-  dealt to worker lanes by one dealer with one failover loop (streams
-  while they upload, a lane per 512 KiB; npy bodies as balanced row
-  runs, one lane each), every response stamped
+  dealt to worker lanes by one dealer with one lane failover loop
+  (stream frames relayed whole while they upload, a lane per 512 KiB;
+  npy bodies as balanced row runs, one lane each), every response stamped
   with worker id(s) + serving version, and the ``/admin/status`` /
   ``/admin/rollout`` control endpoints.
 * :mod:`repro.serving.client` — :class:`ServingClient`, a stdlib HTTP

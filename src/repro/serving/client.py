@@ -505,9 +505,6 @@ class ServingClient:
             return f"{message} [trace {self.last_trace_id}]"
         return message
 
-    # Pre-public spelling, kept for callers written against it.
-    _request_json = request_json
-
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
@@ -525,11 +522,11 @@ class ServingClient:
 
     def healthz(self) -> dict[str, Any]:
         """``GET /healthz`` — liveness plus the serving model version."""
-        return self._request_json("GET", "/healthz")
+        return self.request_json("GET", "/healthz")
 
     def model_info(self) -> dict[str, Any]:
         """``GET /model`` — version, method, k, dims, artifact summary."""
-        return self._request_json("GET", "/model")
+        return self.request_json("GET", "/model")
 
     def reload(self, version: str | None = None) -> dict[str, Any]:
         """``POST /reload`` — re-resolve the registry ``LATEST``, or pin.
@@ -544,7 +541,7 @@ class ServingClient:
             if version is not None
             else b""
         )
-        return self._request_json("POST", "/reload", body=body)
+        return self.request_json("POST", "/reload", body=body)
 
     def assign(
         self,

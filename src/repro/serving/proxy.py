@@ -9,12 +9,10 @@
   because only an npy body's length is known before dealing:
 
   - a streamed body is dealt **while it uploads**: each request frame
-    is forwarded the moment it arrives (oversized identity frames are
-    resliced into zero-copy row views first, so one giant frame still
-    spreads), and a new lane opens only once every open lane holds
-    :data:`MIN_DEAL_BYTES`. The client's upload overlaps every worker's
-    compute, so the fleet multiplies batch throughput instead of
-    merely taking turns;
+    is forwarded whole, byte for byte, the moment it arrives, and a new
+    lane opens only once every open lane holds :data:`MIN_DEAL_BYTES`.
+    The client's upload overlaps every worker's compute, so the fleet
+    multiplies batch throughput instead of merely taking turns;
   - an npy body has been read in full, so it is dealt as at most one
     balanced contiguous run per worker, each of at least
     :data:`MIN_SCATTER_ROWS` rows, every run on its own lane in frames
@@ -99,10 +97,6 @@ MIN_SCATTER_ROWS = 2048
 #: this many payload bytes — tiny streams stay on one worker for the
 #: same reason tiny npy bodies do.
 MIN_DEAL_BYTES = 512 * 1024
-
-#: Identity frames larger than this are resliced into row views before
-#: dealing, so a single giant frame still spreads across the fleet.
-DEAL_SLICE_BYTES = 512 * 1024
 
 
 class FleetProxy(ConnectionTrackingServer):
@@ -371,15 +365,15 @@ class _Dealer:
     """Deal one ``/assign`` batch to worker lanes; gather the lanes.
 
     A lane is one streamed request to one worker, and its failover loop
-    (:meth:`_run_lane`) is the proxy's only one. There are two lane
-    rules, because only an npy body's length is known up front:
+    (:meth:`_run_lane`) serves every dealt batch; JSON and GET requests
+    fail over in :meth:`_ProxyHandler._forward` instead. There are two
+    lane rules, because only an npy body's length is known up front:
 
-    * :meth:`deal` forwards stream frames as the client uploads them.
-      Lanes open lazily: a new lane starts only when every open lane
-      already holds :data:`MIN_DEAL_BYTES`, so small streams stay on one
-      worker (the extra HTTP round trips would cost more than the
-      parallelism saves). Oversized identity frames are resliced into
-      zero-copy row views first so one giant frame still spreads.
+    * :meth:`deal` forwards stream frames whole as the client uploads
+      them, never decoding a row. Lanes open lazily: a new lane starts
+      only when every open lane already holds :data:`MIN_DEAL_BYTES`, so
+      small streams stay on one worker (the extra HTTP round trips would
+      cost more than the parallelism saves).
     * :meth:`deal_rows` splits a fully read matrix into balanced
       contiguous runs, one lane each.
 
@@ -445,20 +439,14 @@ class _Dealer:
         return dealer
 
     def deal(self, payload: bytes) -> None:
-        """Forward one request frame to a lane (reslicing if oversized)."""
-        if self._codec == "identity" and len(payload) > DEAL_SLICE_BYTES:
-            try:
-                array = wire.decode_npy(payload)
-            except wire.WireError:
-                array = None
-            if array is not None and array.ndim == 2 and array.shape[0] > 1:
-                rows = max(
-                    1, DEAL_SLICE_BYTES // max(1, array.nbytes // array.shape[0])
-                )
-                for start in range(0, array.shape[0], rows):
-                    self._deal_item(array[start : start + rows])
-                return
-        self._deal_item(payload)
+        """Forward one raw request frame, whole, to the least-loaded lane."""
+        if self._bytes:
+            lane = min(range(len(self._bytes)), key=self._bytes.__getitem__)
+            if len(self._sources) < self._lanes and self._bytes[lane] >= MIN_DEAL_BYTES:
+                lane = self._open_lane()
+        else:
+            lane = self._open_lane()
+        self._put(lane, payload)
 
     def deal_rows(self, points: np.ndarray) -> None:
         """Deal a fully read C-order matrix as balanced contiguous runs.
@@ -477,15 +465,6 @@ class _Dealer:
             lane = self._open_lane()
             for start in range(0, run.shape[0], step):
                 self._put(lane, run[start : start + step])
-
-    def _deal_item(self, item: Any) -> None:
-        if self._bytes:
-            lane = min(range(len(self._bytes)), key=self._bytes.__getitem__)
-            if len(self._sources) < self._lanes and self._bytes[lane] >= MIN_DEAL_BYTES:
-                lane = self._open_lane()
-        else:
-            lane = self._open_lane()
-        self._put(lane, item)
 
     def _put(self, lane: int, item: Any) -> None:
         self._sources[lane].put(item)

@@ -96,7 +96,7 @@ def test_per_worker_reload_is_refused(fleet):
 def test_admin_status_endpoint(fleet):
     supervisor, proxy, registry, _, version, _ = fleet
     with ServingClient(url=proxy.url) as client:
-        data = client._request_json("GET", "/admin/status")
+        data = client.request_json("GET", "/admin/status")
     assert data["version"] == version
     assert data["registry"] == str(registry.root)
     assert [w["index"] for w in data["workers"]] == [0, 1]
@@ -111,7 +111,7 @@ def test_admin_rollout_endpoint(fleet):
     with ServingClient(url=proxy.url) as client:
         # Malformed bodies are 400s, unknown versions 409s.
         with pytest.raises(ServingClientError) as excinfo:
-            client._request_json("POST", "/admin/rollout", b"not json")
+            client.request_json("POST", "/admin/rollout", b"not json")
         assert excinfo.value.status == 400
         status, _, payload = client.request_raw(
             "POST", "/admin/rollout", json.dumps({"version": "v9999"}).encode()

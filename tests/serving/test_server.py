@@ -183,7 +183,7 @@ def test_reload_rejects_unknown_version(served):
     with pytest.raises(ServingClientError, match="v9999"):
         client.reload("v9999")
     with pytest.raises(ServingClientError, match="version"):
-        client._request_json("POST", "/reload", b'{"version": 3}')
+        client.request_json("POST", "/reload", b'{"version": 3}')
 
 
 def test_static_model_path_mode(tmp_path, data):
@@ -219,15 +219,15 @@ def test_request_errors(served):
     with pytest.raises(ServingClientError, match="features"):
         client.assign(np.zeros((4, D + 2)))
     with pytest.raises(ServingClientError) as excinfo:
-        client._request_json("GET", "/nope")
+        client.request_json("GET", "/nope")
     assert excinfo.value.status == 404
     with pytest.raises(ServingClientError) as excinfo:
-        client._request_json("POST", "/assign", b"not json")
+        client.request_json("POST", "/assign", b"not json")
     assert excinfo.value.status == 400
     with pytest.raises(ServingClientError, match="points"):
-        client._request_json("POST", "/assign", b'{"rows": []}')
+        client.request_json("POST", "/assign", b'{"rows": []}')
     with pytest.raises(ServingClientError, match="chunk_size"):
-        client._request_json("POST", "/assign", b'{"points": [[0,0,0,0,0]], "chunk_size": "x"}')
+        client.request_json("POST", "/assign", b'{"points": [[0,0,0,0,0]], "chunk_size": "x"}')
 
 
 def test_server_requires_exactly_one_source(tmp_path):

@@ -16,7 +16,7 @@ import socket
 import numpy as np
 import pytest
 
-from repro.api import METHOD_REGISTRY, RunConfig, fit
+from repro.api import METHOD_REGISTRY, ClusterModel, RunConfig, fit
 from repro.serving import (
     AssignmentServer,
     FleetProxy,
@@ -205,6 +205,38 @@ def test_fleet_deals_big_streams_across_workers(tmp_path, data):
             np.testing.assert_array_equal(
                 np.concatenate(labels), model.predict(big)
             )
+
+
+def test_fleet_relays_stream_frames_whole(tmp_path):
+    """Request frames reach the lanes as the client framed them.
+
+    Frames of 2,341 rows x 28 float64 columns are just over 512 KiB.
+    Cutting one into a 2,340-row slice and a one-row slice would score
+    that last row by a matrix-vector product, whose rounding differs
+    from the matrix-matrix product a single server applies to the whole
+    frame. Relayed whole, every label and distance is bit-equal to a
+    single server's, and the response has one label frame (plus one
+    distances frame) per request frame.
+    """
+    rng = np.random.default_rng(5)
+    model = ClusterModel(rng.normal(size=(15, 28)), RunConfig(method="kmeans", k=15))
+    frames = [rng.normal(size=(2341, 28)) for _ in range(40)]
+    body = wire.encode_stream(frames, distances=True)
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(model, label="whole")
+    with AssignmentServer(registry=registry) as server:
+        status, single = _post_stream_raw(server, body)
+    assert status == 200
+    with FleetSupervisor(registry, workers=2, heartbeat_s=60.0) as fleet:
+        with FleetProxy(fleet) as proxy:
+            status, relayed = _post_stream_raw(proxy, body)
+    assert status == 200
+    expected, _ = wire.decode_stream(single)
+    got, reader = wire.decode_stream(relayed)
+    assert reader.distances
+    np.testing.assert_array_equal(np.concatenate(got[0::2]), np.concatenate(expected[0::2]))
+    np.testing.assert_array_equal(np.concatenate(got[1::2]), np.concatenate(expected[1::2]))
+    assert len(got) == len(expected) == 2 * len(frames)
 
 
 def test_fleet_stream_survives_worker_crash(tmp_path, data):
