@@ -291,6 +291,9 @@ def fleet_gate(payload: dict[str, Any]) -> GateReport:
       ``FLEET_GATE_MONOTONE_TOLERANCE`` — adding a worker process may
       never cost throughput.
 
+    Despite its name, a ``fleet_http_npy`` record times one *streamed*
+    request (``assign_stream``) through the proxy; no npy body is sent.
+
     Both bars are **hardware-aware**: fleet records carry the recording
     host's ``cpu_count`` in ``extra``, so the bars apply up to the
     largest fleet size **that fits the cores**. On a single-core host

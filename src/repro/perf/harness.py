@@ -389,7 +389,8 @@ def bench_fleet(
       :class:`~repro.serving.server.AssignmentServer` (jobs=1 row);
     * ``fleet_http_npy``      — the same streamed request into a real
       :class:`FleetSupervisor` fleet of ``jobs`` worker *processes*
-      behind a dealing :class:`FleetProxy`.
+      behind a dealing :class:`FleetProxy` (the name is historical: no
+      npy body is sent).
 
     The suite defaults to ``k=64``: assignment cost grows with the
     center count, and the fleet's scatter win is only measurable when

@@ -186,14 +186,22 @@ def _free_ports(host: str, count: int) -> list[int]:
             sock.close()
 
 
+#: BLAS thread-count variables pinned to 1 in every worker. The fleet
+#: scales by processes; a multithreaded BLAS's helper threads busy-wait
+#: after each GEMM and steal the cores the proxy and the other workers
+#: need.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _worker_env() -> dict[str, str]:
-    """Child environment with this repro package importable."""
+    """Child environment: this repro package importable, BLAS on one thread."""
     env = os.environ.copy()
     package_parent = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         package_parent + os.pathsep + existing if existing else package_parent
     )
+    env.update(dict.fromkeys(BLAS_THREAD_ENV, "1"))
     return env
 
 

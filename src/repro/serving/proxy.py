@@ -1,23 +1,15 @@
-"""Fleet front door: scatter-gather for batches, round-robin for the rest.
+"""Fleet front door: scatter-gather for streams, round-robin for the rest.
 
 :class:`FleetProxy` puts one port in front of a
 :class:`~repro.serving.fleet.FleetSupervisor`'s worker processes:
 
-* npy and streamed ``POST /assign`` bodies are **dealt** to worker
-  lanes. A lane is one streamed request to one worker, and every batch
-  goes through the same lane failover loop. There are two lane rules,
-  because only an npy body's length is known before dealing:
-
-  - a streamed body is dealt **while it uploads**: each request frame
-    is forwarded whole, byte for byte, the moment it arrives, and a new
-    lane opens only once every open lane holds :data:`MIN_DEAL_BYTES`.
-    The client's upload overlaps every worker's compute, so the fleet
-    multiplies batch throughput instead of merely taking turns;
-  - an npy body has been read in full, so it is dealt as at most one
-    balanced contiguous run per worker, each of at least
-    :data:`MIN_SCATTER_ROWS` rows, every run on its own lane in frames
-    of at most ``DEFAULT_STREAM_CHUNK`` rows (fewer for rows so wide
-    that a frame would pass the wire's frame cap).
+* streamed ``POST /assign`` bodies are **dealt** to worker lanes
+  **while they upload**. A lane is one streamed request to one worker.
+  Each request frame is forwarded whole, byte for byte, the moment it
+  arrives, and a new lane opens only once every open lane holds
+  :data:`MIN_DEAL_BYTES`. The client's upload overlaps every worker's
+  compute, so the fleet multiplies batch throughput instead of merely
+  taking turns.
 
   Frames are retained by reference only: a lane whose worker dies
   replays its frames to the next worker, and the gathered label frames
@@ -28,11 +20,13 @@
   or a version skew across lanes (a rollout landing mid-deal), re-deals
   the batch on a fresh dealer and then on a single lane — one response
   must never mix labels from two models;
-* JSON ``POST /assign``, ``GET /healthz`` and ``GET /model`` are
-  forwarded round-robin; a worker that is mid-restart (connection
-  refused / dropped) is skipped and the request transparently retried
-  on the next worker — the request only fails when *no* worker is
-  reachable;
+* npy and JSON ``POST /assign``, ``GET /healthz`` and ``GET /model``
+  are forwarded whole, round-robin, to one worker. The worker reads an
+  npy body ``chunk_size`` rows at a time and scores each window as it
+  arrives, so no hop decodes the body in full. A worker that is
+  mid-restart (connection refused / dropped) is skipped and the
+  request transparently retried on the next worker — the request only
+  fails when *no* worker is reachable;
 * ``GET /admin/status`` reports the supervisor's fleet-wide health;
 * ``POST /admin/rollout`` runs a canary rollout (body:
   ``{"version": ..., "require_identical": ...}``) and returns the
@@ -51,7 +45,6 @@ the request (or the dealt lane) to the next one.
 
 from __future__ import annotations
 
-import io
 import json
 import queue
 import threading
@@ -59,15 +52,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-import numpy as np
-
 from ..faults.plan import FaultInjector
 from ..obs import metrics as obs_metrics
 from ..obs import prometheus as obs_prometheus
 from ..obs.trace import TraceSink, get_sink
 from . import wire
 from .client import (
-    DEFAULT_STREAM_CHUNK,
     ServingClient,
     ServingClientError,
     ServingTimeoutError,
@@ -88,14 +78,9 @@ from .server import (
 #: Response header naming the worker index(es) that served the request.
 WORKER_HEADER = "X-Fleet-Worker"
 
-#: npy batches below this many rows per additional worker are not split:
-#: the per-run HTTP round trip would cost more than the parallel compute
-#: saves, and small requests are better served round-robin.
-MIN_SCATTER_ROWS = 2048
-
 #: A new stream lane (worker) opens only once every existing lane has
-#: this many payload bytes — tiny streams stay on one worker for the
-#: same reason tiny npy bodies do.
+#: this many payload bytes — tiny streams stay on one worker: the extra
+#: HTTP round trips would cost more than the parallel compute saves.
 MIN_DEAL_BYTES = 512 * 1024
 
 
@@ -191,7 +176,6 @@ class FleetProxy(ConnectionTrackingServer):
             self.metrics.register_collector(obs_metrics.fault_collector(fault_injector))
         self._rr = 0
         self._rr_lock = threading.Lock()
-        self._local = threading.local()
         self._pool_lock = threading.Lock()
         self._client_pool: dict[str, list[ServingClient]] = {}
         # One long-lived executor for all scatters: spawning threads per
@@ -237,26 +221,12 @@ class FleetProxy(ConnectionTrackingServer):
         demoted = [target for target in rotated if target not in allowed]
         return allowed + demoted
 
-    def client_for(self, index: int, url: str) -> ServingClient:
-        """Per-thread keep-alive client for one worker (forward path)."""
-        cache: dict[tuple[int, str], ServingClient] | None
-        cache = getattr(self._local, "clients", None)
-        if cache is None:
-            cache = self._local.clients = {}
-        key = (index, url)
-        if key not in cache:
-            # reconnect_wait=0: one clean retry per worker, then fail
-            # over to the next one — a mid-restart worker should cost
-            # milliseconds, not a restart-window stall.
-            cache[key] = ServingClient(url=url, timeout=30.0)
-        return cache[key]
-
     def lease_client(self, url: str) -> ServingClient:
-        """Check a keep-alive client out of the scatter pool.
+        """Check a keep-alive client for one worker out of the pool.
 
-        Lanes execute on short-lived executor threads, so a
-        thread-local cache would reconnect on every request; a shared
-        pool keyed by worker url keeps the connections warm instead.
+        Stream lanes, forwarded requests and metric scrapes all lease
+        here: one pool keyed by worker url keeps the connections warm
+        whichever thread the request runs on.
         """
         with self._pool_lock:
             pooled = self._client_pool.get(url)
@@ -265,7 +235,7 @@ class FleetProxy(ConnectionTrackingServer):
         return ServingClient(url=url, timeout=30.0)
 
     def release_client(self, url: str, client: ServingClient) -> None:
-        """Return a leased client to the pool for the next scatter."""
+        """Return a leased client to the pool for the next request."""
         with self._pool_lock:
             self._client_pool.setdefault(url, []).append(client)
 
@@ -362,20 +332,17 @@ class _ReplaySource:
 
 
 class _Dealer:
-    """Deal one ``/assign`` batch to worker lanes; gather the lanes.
+    """Deal one streamed ``/assign`` batch to worker lanes; gather them.
 
     A lane is one streamed request to one worker, and its failover loop
-    (:meth:`_run_lane`) serves every dealt batch; JSON and GET requests
-    fail over in :meth:`_ProxyHandler._forward` instead. There are two
-    lane rules, because only an npy body's length is known up front:
-
-    * :meth:`deal` forwards stream frames whole as the client uploads
-      them, never decoding a row. Lanes open lazily: a new lane starts
-      only when every open lane already holds :data:`MIN_DEAL_BYTES`, so
-      small streams stay on one worker (the extra HTTP round trips would
-      cost more than the parallelism saves).
-    * :meth:`deal_rows` splits a fully read matrix into balanced
-      contiguous runs, one lane each.
+    (:meth:`_run_lane`) serves every dealt batch; npy, JSON and GET
+    requests go whole to one worker and fail over in
+    :meth:`_ProxyHandler._forward` instead. :meth:`deal` forwards stream
+    frames whole as the client uploads them, never decoding a row.
+    Lanes open lazily: a new lane starts only when every open lane
+    already holds :data:`MIN_DEAL_BYTES`, so small streams stay on one
+    worker (the extra HTTP round trips would cost more than the
+    parallelism saves).
 
     ``finish()`` gathers every lane and raises :class:`_ScatterSkew` if
     a rollout split the lanes across versions.
@@ -448,27 +415,9 @@ class _Dealer:
             lane = self._open_lane()
         self._put(lane, payload)
 
-    def deal_rows(self, points: np.ndarray) -> None:
-        """Deal a fully read C-order matrix as balanced contiguous runs.
-
-        At most one run per lane, each of at least
-        :data:`MIN_SCATTER_ROWS` rows: a scattered 100-row request would
-        pay a round trip on every worker for no win. Each run goes on its
-        own lane in frames of at most ``DEFAULT_STREAM_CHUNK`` rows, and
-        fewer when wide rows would push a frame past the wire's frame cap.
-        """
-        ways = min(self._lanes, max(1, points.shape[0] // MIN_SCATTER_ROWS))
-        room = wire.MAX_FRAME_BYTES - len(wire.npy_header_bytes(points))
-        row_bytes = max(1, points.itemsize * points.shape[1])
-        step = max(1, min(DEFAULT_STREAM_CHUNK, room // row_bytes))
-        for run in np.array_split(points, ways):
-            lane = self._open_lane()
-            for start in range(0, run.shape[0], step):
-                self._put(lane, run[start : start + step])
-
-    def _put(self, lane: int, item: Any) -> None:
-        self._sources[lane].put(item)
-        self._bytes[lane] += item.nbytes if isinstance(item, np.ndarray) else len(item)
+    def _put(self, lane: int, payload: bytes) -> None:
+        self._sources[lane].put(payload)
+        self._bytes[lane] += len(payload)
         self._order.append(lane)
 
     def _open_lane(self) -> int:
@@ -500,7 +449,7 @@ class _Dealer:
                     yield wire.encode_header(
                         self._codec, accept=self._accept, distances=self._distances
                     )
-                    for item in source.replay():
+                    for payload in source.replay():
                         if injector is not None:
                             event = injector.fire(site)
                             if event is not None and event.kind == "disconnect":
@@ -509,10 +458,7 @@ class _Dealer:
                                     f"injected disconnect on {url} at lane "
                                     f"{lane}"
                                 )
-                        if isinstance(item, np.ndarray):
-                            yield from wire.encode_frame(item, "identity")
-                        else:
-                            yield wire.frame_payload(item)
+                        yield wire.frame_payload(payload)
                     yield wire.terminator()
 
                 return pieces()
@@ -712,7 +658,7 @@ class _ProxyHandler(_BaseHandler):
             span = self._hop_span("proxy.forward", request_headers)
             if span is not None:
                 span.set(worker=index, path=self.path)
-            client = self.server.client_for(index, url)
+            client = self.server.lease_client(url)
             try:
                 status, headers, payload = client.request_raw(
                     method, self.path, body, content_type,
@@ -736,6 +682,8 @@ class _ProxyHandler(_BaseHandler):
                 if span is not None:
                     span.finish(error=type(exc).__name__)
                 continue  # worker mid-restart: fail over to the next one
+            finally:
+                self.server.release_client(url, client)
             breakers.success(url)
             self.server._m_lane_requests.labels(target=str(index)).inc()
             if span is not None:
@@ -776,11 +724,10 @@ class _ProxyHandler(_BaseHandler):
         try:
             if mode == "stream":
                 self._scatter_stream(self._request_deadline())
-            elif mode == "npy":
-                self._scatter_npy(self._request_deadline())
             else:
-                # JSON stays round-robin: it is the interop path, and
-                # its decimal round trip dwarfs any scatter win.
+                # npy and JSON bodies go whole to one worker, which
+                # reads an npy body window by window; splitting one
+                # costs the proxy a decode and re-encode of every row.
                 self._forward("POST", body=self._read_body())
         except BaseException as exc:
             if span is not None:
@@ -852,42 +799,6 @@ class _ProxyHandler(_BaseHandler):
             )
         writer.write(wire.terminator())
         writer.close()
-
-    def _scatter_npy(self, deadline: Deadline | None = None) -> None:
-        """Deal one npy body as balanced row runs; gather one npy response."""
-        raw = self._read_body()
-        try:
-            points = wire.decode_npy(raw)  # zero-copy row views
-        except wire.WireError as exc:
-            raise ServingError(400, f"invalid npy payload: {exc}") from None
-        if points.ndim != 2:
-            raise ServingError(400, f"points must be 2-D, got shape {points.shape}")
-        # Workers score float64 rows: a float32, integer or Fortran-order
-        # body is converted once here (a C-order float64 body is not copied).
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        dealer = _Dealer(self.server)
-        dealer.open(
-            codec="identity",
-            accept=None,
-            distances=False,
-            deadline=deadline,
-            hop_span=self._hop_span,
-        )
-        dealer.deal_rows(points)
-        results, pairs = self._gather(dealer, lambda fresh: fresh.deal_rows(points))
-        labels = [wire.decode_npy(payload) for payload, _ in pairs]
-        out = io.BytesIO()
-        np.save(
-            out,
-            np.concatenate(labels) if labels else np.empty(0, dtype=np.int64),
-            allow_pickle=False,
-        )
-        self._send(
-            200,
-            out.getvalue(),
-            NPY_CONTENT_TYPE,
-            {VERSION_HEADER: results[0][1], WORKER_HEADER: _workers(results)},
-        )
 
     def _gather(
         self, dealer: _Dealer, deal: Any

@@ -9,11 +9,12 @@ hot behind four endpoints:
   (``Content-Type: application/x-npy``), or the streamed frame format
   (``Content-Type: application/x-repro-stream``, see
   :mod:`repro.serving.wire`) in; the same format comes back.
-  Requests are chunked through ``Assigner.assign_iter`` so a huge
-  request never materializes more than one ``chunk × k`` block — and on
+  The ``Assigner`` scores requests ``chunk_size`` rows at a time, so a
+  huge request never materializes more than one ``chunk × k`` block — and on
   the streamed path each frame is scored *as it arrives off the
-  socket*, the response is chunked back frame by frame, npy bodies are
-  decoded as ``np.frombuffer`` views (no copy), and the stream header
+  socket*, the response is chunked back frame by frame, an npy body is
+  read and scored ``chunk_size`` rows at a time into one window buffer
+  (so the server never holds the whole body), and the stream header
   negotiates optional gzip/zstd compression and squared distances.
 * ``GET /healthz``  — liveness + the serving model version.
 * ``GET /model``    — version, method, k, dimensions, artifact summary.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import socket
 import threading
@@ -52,7 +54,7 @@ from typing import Any
 
 import numpy as np
 
-from ..api.assign import Assigner
+from ..api.assign import DEFAULT_CHUNK_SIZE, Assigner
 from ..api.model import ClusterModel
 from ..faults.plan import FaultEvent, FaultInjector
 from ..obs import metrics as obs_metrics
@@ -516,14 +518,21 @@ class _BoundedBodyReader:
 
     def __init__(self, rfile: Any, length: int) -> None:
         self._rfile = rfile
-        self._remaining = length
+        self.remaining = length
 
     def read(self, n: int) -> bytes:
-        if self._remaining <= 0:
+        if self.remaining <= 0:
             return b""
-        data = self._rfile.read(min(n, self._remaining))
-        self._remaining -= len(data)
+        data = self._rfile.read(min(n, self.remaining))
+        self.remaining -= len(data)
         return data
+
+    def readinto(self, view: memoryview) -> None:
+        """Fill *view* from the body (no intermediate ``bytes``)."""
+        count = self._rfile.readinto(view[: self.remaining])
+        self.remaining -= count
+        if count < len(view):
+            raise wire.WireTruncatedError(f"body ended {len(view) - count} bytes short")
 
 
 class _ChunkedBodyReader:
@@ -925,20 +934,15 @@ class _Handler(_BaseHandler):
         if content_type.startswith(STREAM_CONTENT_TYPE):
             self._do_assign_stream(snap, start, span)
             return
-        body = self._read_body()
-        chunk_size = self.server.chunk_size
         if content_type.startswith(NPY_CONTENT_TYPE):
             mode = "npy"
-            points = _decode_npy(body)
+            labels, bytes_in = self._assign_npy(snap.assigner)
         else:
             mode = "json"
-            points, chunk_size = _decode_json(body, chunk_size)
-        chunks = list(snap.assigner.assign_iter(points, chunk_size=chunk_size))
-        # An empty (0, d) batch yields no chunks; in-process assign
-        # returns empty labels for it, and so must the server.
-        labels = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
+            body = self._read_body()
+            bytes_in = len(body)
+            points, chunk_size = _decode_json(body, self.server.chunk_size)
+            labels = snap.assigner.assign(points, chunk_size=chunk_size)
         if mode == "npy":
             out = io.BytesIO()
             np.save(out, labels, allow_pickle=False)
@@ -958,15 +962,77 @@ class _Handler(_BaseHandler):
         server = self.server
         server._m_latency.labels(mode=mode).observe(time.perf_counter() - start)
         server._m_rows.labels(mode=mode).inc(float(labels.shape[0]))
-        server._m_bytes.labels(direction="in").inc(float(len(body)))
+        server._m_bytes.labels(direction="in").inc(float(bytes_in))
         server._m_bytes.labels(direction="out").inc(float(len(payload)))
         if span is not None:
             span.set(
                 mode=mode,
                 rows=int(labels.shape[0]),
-                bytes_in=len(body),
+                bytes_in=bytes_in,
                 bytes_out=len(payload),
             )
+
+    def _assign_npy(self, assigner: Assigner) -> tuple[np.ndarray, int]:
+        """Label an npy body; returns ``(labels, body_bytes)``.
+
+        A C-order 2-D numeric body is read ``chunk_size`` rows at a time
+        into one window buffer, and each window is scored as it
+        arrives: the server holds one window, never the whole body, and
+        the windows are exactly the blocks ``Assigner.assign`` scores.
+        Any other body (Fortran order, 1-D, empty) is read whole. A
+        header promising more bytes than the body holds is refused
+        before anything is read or allocated; bytes past the array are
+        ignored, and the body is always drained, so the connection
+        stays usable after a refusal.
+        """
+        length = self._content_length()
+        body = _BoundedBodyReader(self.rfile, length)
+        try:
+            shape, fortran, dtype = wire.read_npy_header(body)
+            # Checked before any window is allocated: the header is
+            # client input, and its shape may promise far more than
+            # the body holds.
+            promised = math.prod(shape) * dtype.itemsize
+            if promised > body.remaining:
+                raise wire.WireTruncatedError(
+                    f"npy data holds {body.remaining} bytes, header promises {promised}"
+                )
+            if (
+                len(shape) == 2
+                and not fortran
+                and shape[0] * shape[1] > 0
+                and dtype.kind in "biuf"
+            ):
+                labels = self._assign_npy_windows(assigner, body, shape, dtype)
+            else:
+                data = wire.read_exact(body.read, body.remaining)
+                points = wire.npy_view(data, shape, fortran, dtype)
+                labels = assigner.assign(points, chunk_size=self.server.chunk_size)
+        except wire.WireError as exc:
+            raise ServingError(400, f"invalid npy payload: {exc}") from None
+        finally:
+            self._drain_body(body)
+        return labels, length
+
+    def _assign_npy_windows(
+        self,
+        assigner: Assigner,
+        body: _BoundedBodyReader,
+        shape: tuple[int, int],
+        dtype: np.dtype,
+    ) -> np.ndarray:
+        """Score a C-order ``(n, d)`` matrix off *body*, window by window."""
+        n, d = shape
+        chunk = self.server.chunk_size or DEFAULT_CHUNK_SIZE
+        window = np.empty(min(chunk, n) * d * dtype.itemsize, dtype=np.uint8)
+        labels = np.empty(n, dtype=np.int64)
+        for start in range(0, n, chunk):
+            rows = min(chunk, n - start)
+            data = window[: rows * d * dtype.itemsize]
+            body.readinto(memoryview(data))
+            points = data.view(dtype).reshape(rows, d)
+            labels[start : start + rows] = assigner.assign(points, chunk_size=chunk)
+        return labels
 
     def _do_assign_stream(
         self, snap: _Snapshot, start: float, span: Any
@@ -1122,15 +1188,6 @@ def _decode_reload(body: bytes) -> str | None:
     if version is not None and not isinstance(version, str):
         raise ServingError(400, f"reload version must be a string, got {version!r}")
     return version
-
-
-def _decode_npy(body: bytes) -> np.ndarray:
-    # A read-only np.frombuffer view over the request bytes — the
-    # Assigner only reads rows, so no copy is ever made server-side.
-    try:
-        return wire.decode_npy(body)
-    except wire.WireError as exc:
-        raise ServingError(400, f"invalid npy payload: {exc}") from None
 
 
 def _decode_json(

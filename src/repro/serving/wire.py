@@ -47,6 +47,7 @@ import gzip
 import io
 import struct
 from collections.abc import Callable, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -292,6 +293,31 @@ def decode_npy(
     """
     view = memoryview(data)
     fp = io.BytesIO(view)
+    header = read_npy_header(fp)
+    array = npy_view(view[fp.tell() :], *header)
+    return array.copy() if writable else array
+
+
+def npy_view(
+    data: bytes | memoryview, shape: tuple[int, ...], fortran: bool, dtype: np.dtype
+) -> np.ndarray:
+    """*data* viewed as the array an npy header describes (no copy)."""
+    count = int(np.prod(shape, dtype=np.int64))
+    if len(data) < count * dtype.itemsize:
+        raise WireTruncatedError(
+            f"npy data holds {len(data)} bytes, header promises {count * dtype.itemsize}"
+        )
+    array = np.frombuffer(data, dtype=dtype, count=count)
+    return array.reshape(shape, order="F" if fortran else "C")
+
+
+def read_npy_header(fp: Any) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of the npy header read off *fp*.
+
+    *fp* is anything with ``read(size)`` — a ``BytesIO`` or a request
+    body — and is left at the first data byte. Object (pickled) dtypes
+    are refused.
+    """
     try:
         version = np.lib.format.read_magic(fp)
         if version == (1, 0):
@@ -306,18 +332,7 @@ def decode_npy(
         raise WireFormatError(f"invalid npy payload: {exc}") from None
     if dtype.hasobject:
         raise WireFormatError("object (pickled) arrays are not allowed on the wire")
-    offset = fp.tell()
-    count = int(np.prod(shape, dtype=np.int64))
-    expected = offset + count * dtype.itemsize
-    if len(view) < expected:
-        raise WireTruncatedError(
-            f"npy payload holds {len(view)} bytes, header promises {expected}"
-        )
-    array = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
-    array = array.reshape(shape, order="F" if fortran else "C")
-    if writable:
-        array = array.copy()
-    return array
+    return shape, fortran, dtype
 
 
 def read_exact(read: Callable[[int], bytes], n: int) -> bytes:

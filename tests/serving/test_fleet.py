@@ -18,13 +18,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import ClusterModel, RunConfig
+from repro.api import Assigner, ClusterModel, RunConfig
 from repro.serving import (
     FleetProxy,
     FleetSupervisor,
     ModelRegistry,
     ServingClient,
 )
+from repro.serving.fleet import BLAS_THREAD_ENV, _worker_env
 
 D = 4
 WORKERS = 2
@@ -285,3 +286,29 @@ def test_fleet_requires_published_model(tmp_path):
 def test_fleet_rejects_bad_worker_count(tmp_path):
     with pytest.raises(ValueError, match="workers"):
         FleetSupervisor(tmp_path, workers=0)
+
+
+def test_worker_env_pins_blas_to_one_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    env = _worker_env()
+    assert {name: env[name] for name in BLAS_THREAD_ENV} == dict.fromkeys(
+        BLAS_THREAD_ENV, "1"
+    )
+
+
+def test_one_thread_workers_match_in_process_distances(tmp_path):
+    """Workers score on one BLAS thread, this process on its default
+    count: a 50,000-row stream at k=64 still gets labels and distances
+    bit-equal to in-process ``Assigner.assign``."""
+    rng = np.random.default_rng(43)
+    centers = rng.normal(size=(64, 28)) * 2
+    points = rng.normal(size=(50_000, 28))
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(ClusterModel(centers, RunConfig(method="kmeans", k=64)), label="blas")
+    expected_labels, expected_distances = Assigner(centers).assign(points, return_distance=True)
+    with FleetSupervisor(registry, workers=WORKERS, heartbeat_s=60.0) as fleet:
+        with FleetProxy(fleet) as proxy, ServingClient(url=proxy.url, timeout=60.0) as client:
+            response = client.assign_stream(points, return_distance=True)
+    assert response.labels.tobytes() == expected_labels.tobytes()
+    assert response.distances.tobytes() == expected_distances.tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.serving.proxy as proxy_module
-from repro.api import ClusterModel, RunConfig
+from repro.api import Assigner, ClusterModel, RunConfig
 from repro.serving import (
     FleetProxy,
     FleetSupervisor,
@@ -22,7 +23,7 @@ from repro.serving import (
 )
 from repro.serving import wire
 from repro.serving.proxy import WORKER_HEADER
-from repro.serving.server import NPY_CONTENT_TYPE, VERSION_HEADER
+from repro.serving.server import NPY_CONTENT_TYPE, STREAM_CONTENT_TYPE, VERSION_HEADER
 
 D = 4
 
@@ -153,14 +154,18 @@ def _npy_bytes(array):
     return out.getvalue()
 
 
+def _sha1(array):
+    return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("split", [False, True])
 @pytest.mark.parametrize("edge", ["empty", "float32", "int64", "fortran"])
 def test_npy_edge_bodies_match_predict(fleet, monkeypatch, edge, split):
-    """Zero-row, float32, int64 and Fortran-order npy bodies come back
-    as int64 labels equal to in-process predict, on one lane or two."""
+    """Zero-row, float32, int64 and Fortran-order npy payloads come back
+    as int64 labels equal to in-process predict: whole as one npy body
+    to one worker, or split as the npy frames of a stream dealt over
+    both lanes."""
     _, proxy, _, model, _, probe = fleet
-    if split:
-        monkeypatch.setattr(proxy_module, "MIN_SCATTER_ROWS", 1)
     points = {
         "empty": np.zeros((0, D)),
         "float32": probe.astype(np.float32),
@@ -168,22 +173,94 @@ def test_npy_edge_bodies_match_predict(fleet, monkeypatch, edge, split):
         "fortran": np.asfortranarray(probe),
     }[edge]
     with ServingClient(url=proxy.url) as client:
-        status, headers, payload = client.request_raw(
-            "POST", "/assign", _npy_bytes(points), NPY_CONTENT_TYPE
-        )
-    assert status == 200
-    labels = wire.decode_npy(payload)
+        if not split:
+            status, headers, payload = client.request_raw(
+                "POST", "/assign", _npy_bytes(points), NPY_CONTENT_TYPE
+            )
+            assert status == 200
+            labels = wire.decode_npy(payload)
+        else:
+            monkeypatch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
+            parts = np.array_split(points, 2) if points.shape[0] else [points]
+            if edge == "fortran":
+                parts = [np.asfortranarray(part) for part in parts]
+            body = (
+                wire.encode_header()
+                + b"".join(wire.frame_payload(_npy_bytes(part)) for part in parts)
+                + wire.terminator()
+            )
+            status, headers, payload = client.request_raw(
+                "POST", "/assign", body, STREAM_CONTENT_TYPE
+            )
+            assert status == 200
+            frames, _ = wire.decode_stream(payload)
+            assert len(frames) == len(parts)
+            labels = np.concatenate(frames)
     assert labels.dtype == np.int64
     np.testing.assert_array_equal(labels, model.predict(points))
     if split and edge != "empty":
         assert headers[WORKER_HEADER] in {"0,1", "1,0"}
+    else:
+        assert headers[WORKER_HEADER] in {"0", "1"}
+
+
+def test_npy_bodies_go_whole_to_one_worker(fleet):
+    """npy bodies of every row count around the 8,192-row window, in
+    every accepted layout, are answered whole by one worker with labels
+    bit-equal to in-process ``Assigner.assign``."""
+    _, proxy, _, model, _, _ = fleet
+    assigner = Assigner(model.centers)
+    rng = np.random.default_rng(23)
+    workers = set()
+    with ServingClient(url=proxy.url) as client:
+        for n in (0, 1, 8191, 8192, 8193, 3 * 8192 + 5):
+            points = rng.normal(size=(n, D)) * 2
+            bodies = [
+                points,
+                points.astype(np.float32),
+                np.rint(points * 3).astype(np.int64),
+                np.asfortranarray(points),
+            ]
+            if n == 1:
+                bodies.append(points[0])  # a 1-D body is one row
+            for body in bodies:
+                status, headers, payload = client.request_raw(
+                    "POST", "/assign", _npy_bytes(body), NPY_CONTENT_TYPE
+                )
+                assert status == 200, payload[:200]
+                labels = wire.decode_npy(payload)
+                assert labels.dtype == np.int64
+                assert _sha1(labels) == _sha1(assigner.assign(body)), (n, body.dtype)
+                assert headers[WORKER_HEADER] in {"0", "1"}
+                workers.add(headers[WORKER_HEADER])
+    assert workers == {"0", "1"}  # round-robin still spreads the bodies
+
+
+def test_npy_body_fails_over_to_survivor(fleet):
+    """An npy body whose round-robin worker is dead is answered whole
+    by the survivor, at every position of the rotation."""
+    supervisor, proxy, _, model, version, _ = fleet
+    points = np.random.default_rng(29).normal(size=(8193, D))
+    expected = Assigner(model.centers).assign(points)
+    victim = supervisor.status()["workers"][0]
+    os.kill(victim["pid"], signal.SIGKILL)
+    time.sleep(0.1)
+    with ServingClient(url=proxy.url) as client:
+        for _ in range(3):
+            status, headers, payload = client.request_raw(
+                "POST", "/assign", _npy_bytes(points), NPY_CONTENT_TYPE
+            )
+            assert status == 200
+            assert headers[WORKER_HEADER] == "1"
+            assert headers[VERSION_HEADER] == version
+            np.testing.assert_array_equal(wire.decode_npy(payload), expected)
 
 
 @pytest.mark.slow
-def test_wide_npy_body_is_framed_under_the_frame_cap(tmp_path):
-    """8,192 rows of 1,100 float64 columns would be one 72 MB frame,
-    over the wire's 64 MiB frame cap: the proxy deals it in smaller
-    frames, and the answer matches a direct worker's."""
+def test_wide_npy_body_past_the_frame_cap_matches_predict(tmp_path):
+    """8,192 rows of 1,100 float64 columns are 72 MB, over the wire's
+    64 MiB frame cap: an npy body is not framed, so it goes whole to
+    one worker, and the answer matches in-process predict."""
     rng = np.random.default_rng(11)
     wide = 1100
     model = ClusterModel(

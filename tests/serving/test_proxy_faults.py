@@ -1,9 +1,11 @@
 """Injected proxy faults: dead-lane replay and version-skew re-deal.
 
-npy and streamed bodies go through the same dealer, so every fault is
-injected into both. Every fault offset must yield either a
-bit-identical answer (replayed on a survivor, or re-dealt) or a typed
-error — never a silently wrong or partial response.
+Streamed bodies are dealt to lanes frame by frame, and the dealer
+relays each frame's payload as it arrived, compressed or not, so every
+fault is injected into an identity and a gzip stream. Every fault
+offset must yield either a bit-identical answer (replayed on a
+survivor, or re-dealt) or a typed error — never a silently wrong or
+partial response.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.serving.proxy import WORKER_HEADER
 D = 4
 ROWS, CHUNK = 40, 8
 N_FRAMES = ROWS // CHUNK  # 5 dealt frames per request
-BODIES = ("stream", "npy")
+BODIES = ("stream", "gzip")
 
 
 @pytest.fixture(scope="module")
@@ -46,22 +48,17 @@ def fleet(tmp_path_factory):
 
 
 @contextlib.contextmanager
-def _dealt(*, spread=False):
-    """Deal every request as frames of CHUNK rows; with *spread*, over
-    both lanes (a stream opens its second lane at once, an npy body is
-    split into two runs)."""
+def _spread():
+    """Deal every request over both lanes: a stream opens its second
+    lane at its second frame."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(proxy_module, "DEFAULT_STREAM_CHUNK", CHUNK)
-        if spread:
-            patch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
-            patch.setattr(proxy_module, "MIN_SCATTER_ROWS", 1)
+        patch.setattr(proxy_module, "MIN_DEAL_BYTES", 1)
         yield
 
 
 def _assign(client, body, points):
-    if body == "npy":
-        return client.assign(points, npy=True)
-    return client.assign_stream(points, chunk_size=CHUNK)
+    codec = "gzip" if body == "gzip" else "identity"
+    return client.assign_stream(points, chunk_size=CHUNK, codec=codec)
 
 
 def _total(proxy, name):
@@ -98,7 +95,7 @@ def test_dead_lane_replays_on_survivor_at_every_frame_boundary(fleet, body, offs
     plan = FaultPlan(
         [FaultEvent(site="proxy.lane0.frame", at=offset, kind="disconnect")]
     )
-    with _dealt(), FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+    with FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
         with ServingClient(url=proxy.url) as client:
             response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
@@ -138,7 +135,7 @@ def test_version_skew_redeals_bit_identically(fleet, body):
     injector = FaultInjector(
         FaultPlan([FaultEvent(site="proxy.lane.version", at=0, kind="skew")])
     )
-    with _dealt(spread=True), FleetProxy(supervisor, fault_injector=injector) as proxy:
+    with _spread(), FleetProxy(supervisor, fault_injector=injector) as proxy:
         with ServingClient(url=proxy.url) as client:
             response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
@@ -157,7 +154,7 @@ def test_multi_lane_disconnect_still_bit_identical(fleet, body):
     plan = FaultPlan(
         [FaultEvent(site="proxy.lane1.frame", at=1, kind="disconnect")]
     )
-    with _dealt(spread=True), FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
+    with _spread(), FleetProxy(supervisor, fault_injector=FaultInjector(plan)) as proxy:
         with ServingClient(url=proxy.url) as client:
             response = _assign(client, body, probe)
             np.testing.assert_array_equal(response.labels, model.predict(probe))

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import http.client
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.api import METHOD_REGISTRY, RunConfig, fit
+from repro.api import METHOD_REGISTRY, Assigner, ClusterModel, RunConfig, fit
 from repro.serving import (
     AssignmentServer,
     ModelRegistry,
     ServingClient,
 )
+from repro.serving import wire
 from repro.serving.client import ServingClientError
+from repro.serving.server import NPY_CONTENT_TYPE
 
 N, D, K = 240, 5, 3
 
@@ -249,3 +255,85 @@ def test_non_finite_points_are_400_not_labels(served):
             assert excinfo.value.status == 400
     # The server is unharmed.
     assert client.assign(np.ones((2, D)), npy=True).labels.shape == (2,)
+
+
+def _npy_bytes(array):
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
+@pytest.fixture
+def wide_server(tmp_path):
+    """A server of 15 centers over 28 features (Adult-like rows)."""
+    centers = np.random.default_rng(31).normal(size=(15, 28))
+    registry = ModelRegistry(tmp_path / "registry")
+    registry.publish(ClusterModel(centers, RunConfig(method="kmeans", k=15)), label="wide")
+    with AssignmentServer(registry=registry) as server:
+        yield server, Assigner(centers)
+
+
+def test_npy_body_is_scored_window_by_window(wide_server):
+    """A 200,000 x 28 npy body (44.8 MB) is read chunk_size rows at a
+    time: the traced peak stays far below the body, whose whole-body
+    read alone would allocate it once more."""
+    server, assigner = wide_server
+    points = np.random.default_rng(37).normal(size=(200_000, 28))
+    body = _npy_bytes(points)
+    with ServingClient(url=server.url, timeout=60.0) as client:
+        client.healthz()  # connect outside the traced window
+        tracemalloc.start()
+        try:
+            status, _, payload = client.request_raw("POST", "/assign", body, NPY_CONTENT_TYPE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert status == 200
+    np.testing.assert_array_equal(wire.decode_npy(payload), assigner.assign(points))
+    assert peak < len(body) / 4, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_malformed_npy_bodies_keep_the_connection(wide_server):
+    """A body cut inside its npy header (400), a header promising more
+    rows than the body holds (400), a header whose shape would need a
+    petabyte window (400, refused before any window is allocated) and bytes trailing
+    the array (200, ignored) each leave the keep-alive connection
+    serving."""
+    server, assigner = wide_server
+    rng = np.random.default_rng(41)
+    points = rng.normal(size=(9000, 28))
+    body = _npy_bytes(points)
+    promising = _npy_bytes(np.zeros((9005, 28)))[: len(body) - points.nbytes] + points.tobytes()
+    huge = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        huge, {"descr": "<f8", "fortran_order": False, "shape": (8192, 2**37)}
+    )
+    huge = huge.getvalue() + points[:10].tobytes()
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    try:
+        conn.connect()
+        sock = conn.sock
+        for bad, status, reason in (
+            (body[:40], 400, b"invalid npy payload"),
+            (promising, 400, b"header promises"),
+            (huge, 400, b"header promises"),
+            (body + b"\0" * 100, 200, b""),
+        ):
+            conn.request("POST", "/assign", bad, {"Content-Type": NPY_CONTENT_TYPE})
+            response = conn.getresponse()
+            payload = response.read()
+            assert response.status == status, payload[:200]
+            assert status == 200 or reason in payload, payload[:200]
+            assert not response.will_close
+            if status == 200:
+                np.testing.assert_array_equal(wire.decode_npy(payload), assigner.assign(points))
+            probe = points[:100]
+            conn.request("POST", "/assign", _npy_bytes(probe), {"Content-Type": NPY_CONTENT_TYPE})
+            response = conn.getresponse()
+            assert response.status == 200
+            np.testing.assert_array_equal(
+                wire.decode_npy(response.read()), assigner.assign(probe)
+            )
+            assert conn.sock is sock  # the same connection served both
+    finally:
+        conn.close()

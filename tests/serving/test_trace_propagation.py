@@ -66,7 +66,7 @@ def test_one_trace_spans_scatter_gather_with_dead_lane_replay(traced_fleet):
             response = client.assign_stream(probe, chunk_size=CHUNK)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             trace_id = client.last_trace_id
-            # An npy body of the same rows is dealt by the same dealer.
+            # An npy body of the same rows goes whole to one worker.
             response = client.assign(probe, npy=True)
             np.testing.assert_array_equal(response.labels, model.predict(probe))
             npy_trace_id = client.last_trace_id
@@ -129,18 +129,22 @@ def test_one_trace_spans_scatter_gather_with_dead_lane_replay(traced_fleet):
         assert name in text
     assert "replay=True" in text
 
-    # The npy request: ingress mode=npy, its two row runs on two lanes,
-    # both hanging off the ingress span.
+    # The npy request: ingress mode=npy, no lanes, one forward hop
+    # hanging off the ingress span, and one worker span in the trace.
     def npy_settled():
         spans = [s for s in load_spans(sink_path) if s.trace_id == npy_trace_id]
-        return spans if any(s.name == "proxy.assign" for s in spans) else None
+        names = {s.name for s in spans}
+        return spans if {"proxy.assign", "server.assign"} <= names else None
 
     npy_spans = _wait_for(npy_settled)
     (npy_ingress,) = [s for s in npy_spans if s.name == "proxy.assign"]
     assert npy_ingress.attrs["mode"] == "npy"
-    npy_lanes = [s for s in npy_spans if s.name == "proxy.lane"]
-    assert len({lane.attrs.get("lane") for lane in npy_lanes}) == 2
-    assert all(lane.parent_id == npy_ingress.span_id for lane in npy_lanes)
+    assert not [s for s in npy_spans if s.name == "proxy.lane"]
+    (forward,) = [s for s in npy_spans if s.name == "proxy.forward"]
+    assert forward.parent_id == npy_ingress.span_id
+    (npy_server,) = [s for s in npy_spans if s.name == "server.assign"]
+    assert npy_server.attrs["worker"] == str(forward.attrs["worker"])
+    assert npy_server.attrs["rows"] == ROWS
 
 
 def test_caller_supplied_trace_id_is_honored_and_echoed(traced_fleet):
